@@ -1,6 +1,6 @@
 """A walk through the exact symbolic layer.
 
-Star products, Moyal brackets, Bopp-shift operators and the symmetry
+Star products, Moyal brackets, Bopp shifts as symbols and the symmetry
 algebra, all in exact rational arithmetic. Run with:
 
     python3 demos/star_product_tour.py
@@ -8,8 +8,6 @@ algebra, all in exact rational arithmetic. Run with:
 
 from phaseq import (
     MOSTLY_PLUS,
-    bopp_momentum,
-    bopp_position,
     check_poincare_algebra,
     commutator_on,
     monomial_basis,
@@ -37,12 +35,12 @@ print("q1 . p1 (-+++) =", moyal_star(q1, p1, MOSTLY_PLUS))
 bracket = moyal_star(q0, p0) - moyal_star(p0, q0)
 print("\n[q0, p0] under the star:", bracket)
 
-# Bopp shifts turn left star multiplication into differential operators.
-# Applying the commutator of Q and P to any monomial returns i times it.
-Q = bopp_position(0)
-P = bopp_momentum(0)
+# A Bopp shift is left star multiplication: Q0 f = q0 . f and P0 f = p0 . f,
+# so operators are handled through their symbols. Applying the commutator
+# of Q0 and P0 to any polynomial returns i times it.
 f = parse_expression("q0^2*p0 + 3*q1*p2")
-print("\n[Q0, P0] f =", commutator_on(Q, P, f))
+print("\nQ0 f       =", moyal_star(q0, f))
+print("[Q0, P0] f =", commutator_on(q0, p0, f))
 
 # Star products of higher-degree polynomials stay exact: here is one with
 # a few correction orders in play.
@@ -50,7 +48,7 @@ f = parse_expression("q0^3")
 g = parse_expression("p0^3")
 print("\nq0^3 . p0^3 =", moyal_star(f, g))
 
-# The ten generators built from these operators close into the expected
+# The ten generators built from these symbols close into the expected
 # algebra with literal-zero residuals over a monomial basis.
 report = check_poincare_algebra(2)
 print(

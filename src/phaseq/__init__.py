@@ -1,11 +1,12 @@
 """Symbolic and numerical phase-space quantum mechanics toolkit.
 
 Exact rational polynomial algebra over the phase-space variables
-q0..q3, p0..p3, the Moyal star product with its Bopp-shift operator
-form, symmetry-algebra and Casimir verification, gamma-matrix
-machinery, FFT-grid numerics with a numerical star product and Wigner
-functions, the relativistic magnetic bound-state (Landau) problem, and
-the confluent hypergeometric special functions it needs.
+q0..q3, p0..p3, the Moyal star product (a Bopp shift is left star
+multiplication, so operators are handled as their symbols),
+symmetry-algebra and Casimir verification, gamma-matrix machinery,
+FFT-grid numerics with a numerical star product and Wigner functions,
+the relativistic magnetic bound-state (Landau) problem, and the
+confluent hypergeometric special functions it needs.
 """
 
 __version__ = "1.0.0"
@@ -26,7 +27,6 @@ from .algebra import (
 from .confluent import kummer_m, kummer_u, laguerre, laguerre_coefficients
 from .dirac import (
     GammaRep,
-    MatrixOperator,
     chiral_projector,
     dirac_operator,
     dirac_square_check,
@@ -81,21 +81,6 @@ from .poincare import (
     monomial_basis,
     pauli_lubanski,
 )
-from .star import (
-    BoppP,
-    BoppQ,
-    Compose,
-    Identity,
-    MultiplyBy,
-    Operator,
-    Scale,
-    Sum,
-    bopp_momentum,
-    bopp_position,
-    commutator_on,
-    lowered_momentum,
-    lowered_position,
-    moyal_star,
-)
+from .star import commutator_on, moyal_star
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -3,7 +3,7 @@
 Every verification and solver in the package is exposed as a subcommand.
 Each run writes a JSON manifest recording the command, parameters,
 outputs, pass/fail status and wall time. Exit codes: 0 all checks
-passed, 1 a check failed its tolerance, 2 usage error.
+passed, 1 a check failed its tolerance, 2 usage or domain error.
 """
 
 from __future__ import annotations
@@ -383,21 +383,17 @@ def _cmd_landau_reduce_check(args):
 
 
 def _write_field(args, field: Field):
-    outputs = []
-    if args.out:
-        if args.format == "bin":
-            write_field_binary(field, args.out)
-        elif args.format == "csv":
-            write_field_csv(field, args.out)
-        else:
-            raise argparse.ArgumentTypeError(
-                "field dumps support --format csv or bin"
-            )
-        outputs.append(args.out)
-    return outputs
+    if not args.out:
+        return []
+    writer = write_field_binary if args.format == "bin" else write_field_csv
+    writer(field, args.out)
+    return [args.out]
 
 
 def _cmd_wigner(args):
+    if args.out and args.format not in ("csv", "bin"):
+        print("error: field dumps support --format csv or bin", file=sys.stderr)
+        return 2, {}, []
     if args.kind == "gaussian":
         if args.grid:
             spec = _parse_grid(args.grid)
@@ -610,7 +606,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code, params, outputs = args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     wall_ms = (time.perf_counter() - start) * 1000.0

@@ -1,7 +1,9 @@
 """Gamma matrices, sigma blocks, chirality projectors, and the Dirac operator.
 
 Matrix entries are exact ComplexRational scalars, so every Clifford-algebra
-identity is tested for literal equality. Matrices are tuples of row tuples.
+identity is tested for literal equality. Matrices are tuples of row tuples;
+the Dirac operator is a matrix of phase-space symbols acting by left star
+multiplication.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from .algebra import (
     MOSTLY_PLUS,
     MetricSignature,
     PhasePolynomial,
+    p_var,
 )
-from .poincare import AlgebraReport, monomial_basis
-from .star import Compose, Identity, Scale, Sum, lowered_momentum
+from .poincare import AlgebraReport, casimir_p2, monomial_basis
+from .star import moyal_star
 
 __all__ = [
     "Matrix",
@@ -41,7 +44,6 @@ __all__ = [
     "gamma_product_decomposition",
     "chiral_projector",
     "project_solution",
-    "MatrixOperator",
     "dirac_operator",
     "dirac_square_check",
 ]
@@ -222,92 +224,56 @@ def project_solution(psi, rep: GammaRep, sign: int = 1):
     return [sum(proj[i][j] * comps[j] for j in range(4)) for i in range(4)]
 
 
-class MatrixOperator:
-    """4x4 matrix of polynomial operators, acting on 4-component spinors."""
-
-    def __init__(self, entries):
-        self.entries = tuple(tuple(row) for row in entries)
-        if len(self.entries) != 4 or any(len(r) != 4 for r in self.entries):
-            raise ValueError("entries must be 4x4")
-
-    def apply(self, spinor):
-        if len(spinor) != 4:
-            raise ValueError("spinor must have 4 components")
-        dims = spinor[0].dims
-        out = []
-        for i in range(4):
-            acc = PhasePolynomial.zero(dims)
-            for j in range(4):
-                op = self.entries[i][j]
-                if op is None:
-                    continue
-                acc = acc + op.apply(spinor[j])
-            out.append(acc)
-        return out
-
-    def compose(self, other: "MatrixOperator") -> "MatrixOperator":
-        rows = []
-        for i in range(4):
-            row = []
-            for j in range(4):
-                parts = []
-                for k in range(4):
-                    a, b = self.entries[i][k], other.entries[k][j]
-                    if a is None or b is None:
-                        continue
-                    parts.append(Compose((a, b)))
-                row.append(Sum(tuple(parts)) if parts else None)
-            rows.append(row)
-        return MatrixOperator(rows)
-
-
 def dirac_operator(
     mass, rep: GammaRep | None = None, metric: MetricSignature = MOSTLY_MINUS
-) -> MatrixOperator:
-    """gamma^mu P_mu - m I as a matrix of Bopp-shift operators."""
+) -> tuple:
+    """gamma^mu P_mu - m I as a 4x4 tuple of symbols, P_mu = g_{mumu} p^mu."""
     if rep is None:
         rep = standard_gamma_rep(metric)
     mass_c = ComplexRational.of(mass)
     if mass_c.im != 0 or mass_c.re < 0:
         raise ValueError("mass must be real and nonnegative")
-    rows = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            parts = []
-            for mu in range(4):
-                c = rep.gamma[mu][i][j]
-                if c.is_zero():
-                    continue
-                parts.append(Scale(c, lowered_momentum(mu, metric)))
-            if i == j and not mass_c.is_zero():
-                parts.append(Scale(-mass_c, Identity()))
-            row.append(Sum(tuple(parts)) if parts else None)
-        rows.append(row)
-    return MatrixOperator(rows)
+    momenta = [p_var(mu).scale(metric[mu]) for mu in range(4)]
+    return tuple(
+        tuple(
+            sum(
+                (momenta[mu].scale(rep.gamma[mu][i][j]) for mu in range(4)),
+                PhasePolynomial.constant(-mass_c if i == j else 0),
+            )
+            for j in range(4)
+        )
+        for i in range(4)
+    )
 
 
 def dirac_square_check(
     max_degree: int = 2, metric: MetricSignature = MOSTLY_MINUS
 ) -> AlgebraReport:
-    """Verify (gamma.P)^2 = (P^mu P_mu) I on all spinor monomials of degree <= max_degree."""
-    from .poincare import casimir_p2
+    """Verify (gamma.P)^2 = (P^mu P_mu) I on all spinor monomials of degree <= max_degree.
 
-    rep = standard_gamma_rep(metric)
-    slash = dirac_operator(0, rep, metric)
-    squared = slash.compose(slash)
+    The residual symbol matrix R = (gamma.P) * (gamma.P) - P^2 I is built
+    once; the spinor with monomial m in component `slot` maps to row `a`
+    as R[a][slot] * m.
+    """
+    slash = dirac_operator(0, standard_gamma_rep(metric), metric)
     p2 = casimir_p2(metric)
+    residual = [
+        [
+            sum(
+                (moyal_star(slash[a][k], slash[k][b], metric) for k in range(4)),
+                -p2 if a == b else PhasePolynomial.zero(),
+            )
+            for b in range(4)
+        ]
+        for a in range(4)
+    ]
     report = AlgebraReport()
-    basis = monomial_basis(max_degree)
-    zero = PhasePolynomial.zero(4)
-    for mono in basis:
-        kg = p2.apply(mono)
+    for mono in monomial_basis(max_degree):
         for slot in range(4):
-            spinor = [mono if a == slot else zero for a in range(4)]
-            out = squared.apply(spinor)
             for a in range(4):
-                expected = kg if a == slot else zero
                 report.record(
-                    f"diracsq[slot={slot},row={a}]", mono, out[a] - expected
+                    f"diracsq[slot={slot},row={a}]",
+                    mono,
+                    moyal_star(residual[a][slot], mono, metric),
                 )
     return report

@@ -321,8 +321,9 @@ def grid_star(f: Field, g: Field, threshold: float = 1e-14) -> Field:
         kvecs.append(ax.wavenumbers().reshape(s))
 
     # shift rule per axis for a given g-mode: the q axis of a pair is
-    # translated by -sign*k_p/2, the p axis by +sign*k_q/2
-    partner = {}
+    # translated by -sign*k_p/2, the p axis by +sign*k_q/2; an axis in no
+    # pair commutes with everything and is never translated
+    partner = {axis: (axis, 0.0) for axis in range(len(spec.axes))}
     for qi, pi, sign in spec.pairs:
         partner[qi] = (pi, -0.5 * sign)
         partner[pi] = (qi, +0.5 * sign)
@@ -515,7 +516,12 @@ def read_field_binary(path, axis_names=None, periodic=True) -> Field:
         spec = GridSpec(axes) if naxes % 2 == 0 else GridSpec(
             axes, pairs=[]
         )
-        count = spec.total_points
-        raw = np.frombuffer(fh.read(count * 16), dtype="<f8")
+        expected = spec.total_points * 16
+        payload = fh.read()
+        if len(payload) != expected:
+            raise ValueError(
+                f"payload has {len(payload)} bytes, expected {expected}"
+            )
+        raw = np.frombuffer(payload, dtype="<f8")
         values = (raw[0::2] + 1j * raw[1::2]).reshape(spec.shape)
         return Field(spec, values)

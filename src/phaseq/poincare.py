@@ -1,13 +1,17 @@
 """Symplectic Poincare generators and exact verification of their algebra.
 
-Generators are built from the Bopp shifts:
+Generators are phase-space symbols acting by left star multiplication,
+since a Bopp shift is left star multiplication: Q^mu f = q^mu * f and
+P^mu f = p^mu * f. With lowered components Q_mu = g_{mumu} q^mu and
+P_mu = g_{mumu} p^mu:
 
-    M_{mu nu} = Q_mu P_nu - Q_nu P_mu          (lowered components)
-    W_mu      = 1/2 eps_{mu nu rho sigma} M^{nu sigma} P^rho
+    M_{mu nu} = Q_mu * P_nu - Q_nu * P_mu
+    W_mu      = 1/2 eps_{mu nu rho sigma} M^{nu sigma} * P^rho
 
-Operator identities are decided by application to every monomial up to a
-caller-chosen degree; residuals are exact polynomials, and a check passes
-only when every residual is the literal zero polynomial.
+An operator identity [A, B] = C is decided by building its residual symbol
+s = A*B - B*A - C once and star-multiplying it onto every monomial up to a
+caller-chosen degree; a check passes only when every residual is the
+literal zero polynomial.
 """
 
 from __future__ import annotations
@@ -23,17 +27,7 @@ from .algebra import (
     MetricSignature,
     PhasePolynomial,
 )
-from .star import (
-    Compose,
-    Operator,
-    Scale,
-    Sum,
-    bopp_momentum,
-    bopp_position,
-    commutator_on,
-    lowered_momentum,
-    lowered_position,
-)
+from .star import commutator_on, moyal_star
 
 __all__ = [
     "ResidualRecord",
@@ -49,6 +43,7 @@ __all__ = [
 ]
 
 _I = ComplexRational(Fraction(0), Fraction(1))
+_ONE = PhasePolynomial.constant(1)
 
 
 @dataclass(frozen=True)
@@ -128,25 +123,26 @@ def levi_civita(mu: int, nu: int, rho: int, sigma: int) -> int:
     return sign
 
 
+def _lowered(kind: str, mu: int, metric: MetricSignature) -> PhasePolynomial:
+    """Q_mu (kind "q") or P_mu (kind "p"): g_{mumu} times the coordinate."""
+    return PhasePolynomial.coordinate(kind, mu).scale(metric[mu])
+
+
+def _sweep(report, relation, residual, basis, metric):
+    """Record residual * mono for every monomial of the basis."""
+    for mono in basis:
+        report.record(relation, mono, moyal_star(residual, mono, metric))
+
+
 def angular_generator(
     mu: int, nu: int, metric: MetricSignature = MOSTLY_MINUS
-) -> Operator:
-    """M_{mu nu} = Q_mu P_nu - Q_nu P_mu (both indices lowered)."""
+) -> PhasePolynomial:
+    """M_{mu nu} = Q_mu * P_nu - Q_nu * P_mu (both indices lowered)."""
     if not (0 <= mu < 4 and 0 <= nu < 4):
         raise ValueError("index out of range")
-    return Sum(
-        (
-            Compose((lowered_position(mu, metric), lowered_momentum(nu, metric))),
-            Scale(
-                ComplexRational.of(-1),
-                Compose((lowered_position(nu, metric), lowered_momentum(mu, metric))),
-            ),
-        )
-    )
-
-
-def _scaled(ops: list[tuple[ComplexRational, Operator]]) -> Operator:
-    return Sum(tuple(Scale(c, op) for c, op in ops))
+    return moyal_star(
+        _lowered("q", mu, metric), _lowered("p", nu, metric), metric
+    ) - moyal_star(_lowered("q", nu, metric), _lowered("p", mu, metric), metric)
 
 
 def check_poincare_algebra(
@@ -165,7 +161,7 @@ def check_poincare_algebra(
         raise ValueError("max_degree must be >= 1")
     basis = monomial_basis(max_degree)
     report = AlgebraReport()
-    P = [lowered_momentum(mu, metric) for mu in range(4)]
+    P = [_lowered("p", mu, metric) for mu in range(4)]
     M = {
         (mu, nu): angular_generator(mu, nu, metric)
         for mu in range(4)
@@ -176,102 +172,72 @@ def check_poincare_algebra(
     pairs = [(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)]
 
     for mu, nu in [(a, b) for a in range(4) for b in range(a, 4)]:
-        rel = f"[P_{mu},P_{nu}]"
-        for mono in basis:
-            report.record(rel, mono, commutator_on(P[mu], P[nu], mono))
+        residual = commutator_on(P[mu], P[nu], _ONE, metric)
+        _sweep(report, f"[P_{mu},P_{nu}]", residual, basis, metric)
 
     for mu, nu in pairs:
         for sigma in range(4):
-            rel = f"[M_{mu}{nu},P_{sigma}]"
-            rhs_parts = []
-            if metric[sigma] != 0:
-                if sigma == mu:
-                    rhs_parts.append((_I * metric[mu], P[nu]))
-                if sigma == nu:
-                    rhs_parts.append((-_I * metric[nu], P[mu]))
-            rhs = _scaled(rhs_parts)
-            for mono in basis:
-                res = commutator_on(M[(mu, nu)], P[sigma], mono) - rhs.apply(mono)
-                report.record(rel, mono, res)
-
-    def m_op(a, b):
-        # M_{ab} with antisymmetry for a == b handled by caller
-        return M[(a, b)]
+            rhs = PhasePolynomial.zero()
+            if sigma == mu:
+                rhs = rhs + P[nu].scale(_I * metric[mu])
+            if sigma == nu:
+                rhs = rhs - P[mu].scale(_I * metric[nu])
+            residual = commutator_on(M[(mu, nu)], P[sigma], _ONE, metric) - rhs
+            _sweep(report, f"[M_{mu}{nu},P_{sigma}]", residual, basis, metric)
 
     for mu, nu in pairs:
         for rho, sig in pairs:
-            rel = f"[M_{mu}{nu},M_{rho}{sig}]"
-            rhs_parts = []
-            for g_idx, pair in (
-                ((mu, rho), (nu, sig)),
-                ((nu, sig), (mu, rho)),
+            rhs = PhasePolynomial.zero()
+            for (a, b), (c, d), sign in (
+                ((mu, rho), (nu, sig), 1),
+                ((nu, sig), (mu, rho), 1),
+                ((mu, sig), (nu, rho), -1),
+                ((nu, rho), (mu, sig), -1),
             ):
-                a, b = g_idx
-                c, d = pair
                 if a == b and c != d:
-                    rhs_parts.append((_I * metric[a], m_op(c, d)))
-            for g_idx, pair in (
-                ((mu, sig), (nu, rho)),
-                ((nu, rho), (mu, sig)),
-            ):
-                a, b = g_idx
-                c, d = pair
-                if a == b and c != d:
-                    rhs_parts.append((-_I * metric[a], m_op(c, d)))
-            rhs = _scaled(rhs_parts)
-            for mono in basis:
-                res = commutator_on(M[(mu, nu)], M[(rho, sig)], mono) - rhs.apply(mono)
-                report.record(rel, mono, res)
+                    rhs = rhs + M[(c, d)].scale(_I * (sign * metric[a]))
+            residual = commutator_on(M[(mu, nu)], M[(rho, sig)], _ONE, metric) - rhs
+            _sweep(report, f"[M_{mu}{nu},M_{rho}{sig}]", residual, basis, metric)
 
     return report
 
 
-def pauli_lubanski(mu: int, metric: MetricSignature = MOSTLY_MINUS) -> Operator:
-    """W_mu = 1/2 eps_{mu nu rho sigma} M^{nu sigma} P^rho (lower index mu)."""
+def pauli_lubanski(mu: int, metric: MetricSignature = MOSTLY_MINUS) -> PhasePolynomial:
+    """W_mu = 1/2 eps_{mu nu rho sigma} M^{nu sigma} * P^rho (lower index mu)."""
     if not 0 <= mu < 4:
         raise ValueError("index out of range")
+    q = [PhasePolynomial.coordinate("q", i) for i in range(4)]
+    p = [PhasePolynomial.coordinate("p", i) for i in range(4)]
     half = ComplexRational(Fraction(1, 2))
-    parts = []
+    out = PhasePolynomial.zero()
     for nu, rho, sigma in permutations([i for i in range(4) if i != mu], 3):
         eps = levi_civita(mu, nu, rho, sigma)
         if eps == 0:
             continue
-        # M^{nu sigma} = Q^nu P^sigma - Q^sigma P^nu (raised = Bopp ops directly)
-        m_up = Sum(
-            (
-                Compose((bopp_position(nu, metric), bopp_momentum(sigma, metric))),
-                Scale(
-                    ComplexRational.of(-1),
-                    Compose((bopp_position(sigma, metric), bopp_momentum(nu, metric))),
-                ),
-            )
+        # M^{nu sigma} = Q^nu * P^sigma - Q^sigma * P^nu (raised: bare coordinates)
+        m_up = moyal_star(q[nu], p[sigma], metric) - moyal_star(
+            q[sigma], p[nu], metric
         )
-        parts.append(
-            Scale(half * eps, Compose((m_up, bopp_momentum(rho, metric))))
-        )
-    return Sum(tuple(parts))
+        out = out + moyal_star(m_up, p[rho], metric).scale(half * eps)
+    return out
 
 
-def casimir_p2(metric: MetricSignature = MOSTLY_MINUS) -> Operator:
-    """P^2 = P^mu P_mu."""
-    parts = []
+def casimir_p2(metric: MetricSignature = MOSTLY_MINUS) -> PhasePolynomial:
+    """P^2 = P^mu * P_mu."""
+    out = PhasePolynomial.zero()
     for mu in range(4):
-        parts.append(
-            Scale(
-                ComplexRational.of(metric[mu]),
-                Compose((bopp_momentum(mu, metric), bopp_momentum(mu, metric))),
-            )
-        )
-    return Sum(tuple(parts))
+        p = PhasePolynomial.coordinate("p", mu)
+        out = out + moyal_star(p, p, metric).scale(metric[mu])
+    return out
 
 
-def casimir_w2(metric: MetricSignature = MOSTLY_MINUS) -> Operator:
-    """W^2 = W^mu W_mu."""
-    parts = []
+def casimir_w2(metric: MetricSignature = MOSTLY_MINUS) -> PhasePolynomial:
+    """W^2 = W^mu * W_mu."""
+    out = PhasePolynomial.zero()
     for mu in range(4):
         w = pauli_lubanski(mu, metric)
-        parts.append(Scale(ComplexRational.of(metric[mu]), Compose((w, w))))
-    return Sum(tuple(parts))
+        out = out + moyal_star(w, w, metric).scale(metric[mu])
+    return out
 
 
 def check_casimirs(
@@ -283,27 +249,16 @@ def check_casimirs(
     if max_degree_p2 < 1 or max_degree_w2 < 1:
         raise ValueError("max_degree must be >= 1")
     report = AlgebraReport()
-    p2 = casimir_p2(metric)
-    w2 = casimir_w2(metric)
-    P = [lowered_momentum(mu, metric) for mu in range(4)]
     pairs = [(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)]
-
-    basis_p2 = monomial_basis(max_degree_p2)
-    for mu in range(4):
-        for mono in basis_p2:
-            report.record(f"[P2,P_{mu}]", mono, commutator_on(p2, P[mu], mono))
-    for mu, nu in pairs:
-        m = angular_generator(mu, nu, metric)
-        for mono in basis_p2:
-            report.record(f"[P2,M_{mu}{nu}]", mono, commutator_on(p2, m, mono))
-
-    basis_w2 = monomial_basis(max_degree_w2)
-    for mu in range(4):
-        for mono in basis_w2:
-            report.record(f"[W2,P_{mu}]", mono, commutator_on(w2, P[mu], mono))
-    for mu, nu in pairs:
-        m = angular_generator(mu, nu, metric)
-        for mono in basis_w2:
-            report.record(f"[W2,M_{mu}{nu}]", mono, commutator_on(w2, m, mono))
-
+    generators = [(f"P_{mu}", _lowered("p", mu, metric)) for mu in range(4)] + [
+        (f"M_{mu}{nu}", angular_generator(mu, nu, metric)) for mu, nu in pairs
+    ]
+    for name, casimir, degree in (
+        ("P2", casimir_p2(metric), max_degree_p2),
+        ("W2", casimir_w2(metric), max_degree_w2),
+    ):
+        basis = monomial_basis(degree)
+        for label, gen in generators:
+            residual = commutator_on(casimir, gen, _ONE, metric)
+            _sweep(report, f"[{name},{label}]", residual, basis, metric)
     return report

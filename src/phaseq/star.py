@@ -1,13 +1,13 @@
-"""Moyal star product on polynomials and the Bopp-shift operator calculus.
+"""Moyal star product on polynomials.
 
 The star product is evaluated term by term in powers of the symplectic
 bidifferential operator; on polynomials the series terminates at
-min(deg f, deg g), so the result is exact.
+min(deg f, deg g), so the result is exact. Operators are represented by
+their symbols: a Bopp shift is left star multiplication.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -18,23 +18,7 @@ from .algebra import (
     PhasePolynomial,
 )
 
-__all__ = [
-    "moyal_star",
-    "Operator",
-    "Identity",
-    "BoppP",
-    "BoppQ",
-    "MultiplyBy",
-    "Scale",
-    "Sum",
-    "Compose",
-    "bopp_momentum",
-    "bopp_position",
-    "lowered_momentum",
-    "lowered_position",
-    "apply_operator",
-    "commutator_on",
-]
+__all__ = ["moyal_star", "commutator_on"]
 
 _I_HALF_POWERS = {}
 
@@ -115,137 +99,18 @@ def moyal_star(
     return out
 
 
-# ---------------------------------------------------------------------------
-# operator expressions
+def commutator_on(
+    a: PhasePolynomial,
+    b: PhasePolynomial,
+    f: PhasePolynomial,
+    metric: MetricSignature = MOSTLY_MINUS,
+) -> PhasePolynomial:
+    """(AB - BA) applied to f, exactly, for operators given by their symbols.
 
-
-class Operator:
-    """Composable linear operator on PhasePolynomial values."""
-
-    def apply(self, f: PhasePolynomial) -> PhasePolynomial:
-        raise NotImplementedError
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        return Compose((self, other))
-
-    def __add__(self, other: "Operator") -> "Operator":
-        return Sum((self, other))
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return Sum((self, Scale(ComplexRational.of(-1), other)))
-
-    def __neg__(self) -> "Operator":
-        return Scale(ComplexRational.of(-1), self)
-
-    def __rmul__(self, scalar) -> "Operator":
-        return Scale(ComplexRational.of(scalar), self)
-
-
-@dataclass(frozen=True)
-class Identity(Operator):
-    def apply(self, f):
-        return f
-
-
-@dataclass(frozen=True)
-class BoppP(Operator):
-    """P^mu = p^mu - (i/2) d/dq_mu (momentum Bopp shift, upper index)."""
-
-    mu: int
-    metric: MetricSignature = MOSTLY_MINUS
-
-    def apply(self, f):
-        p = PhasePolynomial.coordinate("p", self.mu, f.dims)
-        shift = f.derivative("q", self.mu).scale(
-            ComplexRational(Fraction(0), Fraction(-self.metric[self.mu], 2))
-        )
-        return p * f + shift
-
-
-@dataclass(frozen=True)
-class BoppQ(Operator):
-    """Q^mu = q^mu + (i/2) d/dp_mu (position Bopp shift, upper index)."""
-
-    mu: int
-    metric: MetricSignature = MOSTLY_MINUS
-
-    def apply(self, f):
-        q = PhasePolynomial.coordinate("q", self.mu, f.dims)
-        shift = f.derivative("p", self.mu).scale(
-            ComplexRational(Fraction(0), Fraction(self.metric[self.mu], 2))
-        )
-        return q * f + shift
-
-
-@dataclass(frozen=True)
-class MultiplyBy(Operator):
-    poly: PhasePolynomial
-
-    def apply(self, f):
-        return self.poly * f
-
-
-@dataclass(frozen=True)
-class Scale(Operator):
-    coeff: ComplexRational
-    inner: Operator
-
-    def apply(self, f):
-        return self.inner.apply(f).scale(self.coeff)
-
-
-@dataclass(frozen=True)
-class Sum(Operator):
-    parts: tuple
-
-    def apply(self, f):
-        out = PhasePolynomial.zero(f.dims)
-        for part in self.parts:
-            out = out + part.apply(f)
-        return out
-
-
-@dataclass(frozen=True)
-class Compose(Operator):
-    """Ordered composition; the rightmost factor is applied first."""
-
-    factors: tuple
-
-    def apply(self, f):
-        out = f
-        for factor in reversed(self.factors):
-            out = factor.apply(out)
-        return out
-
-
-def bopp_momentum(mu: int, metric: MetricSignature = MOSTLY_MINUS) -> Operator:
-    if not 0 <= mu < 4:
-        raise ValueError("index out of range")
-    return BoppP(mu, metric)
-
-
-def bopp_position(mu: int, metric: MetricSignature = MOSTLY_MINUS) -> Operator:
-    if not 0 <= mu < 4:
-        raise ValueError("index out of range")
-    return BoppQ(mu, metric)
-
-
-def lowered_momentum(mu: int, metric: MetricSignature = MOSTLY_MINUS) -> Operator:
-    """P_mu = g_{mumu} P^mu."""
-    op = bopp_momentum(mu, metric)
-    return op if metric[mu] == 1 else Scale(ComplexRational.of(-1), op)
-
-
-def lowered_position(mu: int, metric: MetricSignature = MOSTLY_MINUS) -> Operator:
-    """Q_mu = g_{mumu} Q^mu."""
-    op = bopp_position(mu, metric)
-    return op if metric[mu] == 1 else Scale(ComplexRational.of(-1), op)
-
-
-def apply_operator(op: Operator, f: PhasePolynomial) -> PhasePolynomial:
-    return op.apply(f)
-
-
-def commutator_on(a: Operator, b: Operator, f: PhasePolynomial) -> PhasePolynomial:
-    """(AB - BA) applied to f, exactly."""
-    return a.apply(b.apply(f)) - b.apply(a.apply(f))
+    A Bopp shift is left star multiplication (Q^mu f = q^mu * f, P^mu f =
+    p^mu * f), so operators built from them act through their symbols:
+    the result is (a*b - b*a) * f. With f = 1 it is the commutator symbol.
+    """
+    return moyal_star(
+        moyal_star(a, b, metric) - moyal_star(b, a, metric), f, metric
+    )

@@ -2,8 +2,9 @@
 
 Everything here is derived from first principles with a different method
 than the code under test: closed-form Gaussian moment integrals and brute
-numerical quadrature for the star product, and direct numeric evaluation
-for the exact polynomial algebra.
+numerical quadrature for the star product, direct numeric evaluation
+for the exact polynomial algebra, and Bopp shifts in derivative form as
+the operator route that the package's symbol calculus replaces.
 """
 
 import random
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from phaseq import PhasePolynomial, ComplexRational
+from phaseq import MOSTLY_MINUS, PhasePolynomial, ComplexRational
 
 
 def eval_poly(poly: PhasePolynomial, qs, ps) -> complex:
@@ -93,3 +94,61 @@ def quadrature_star(f_fn, g_fn, q, p, half_width: float = 8.0, m: int = 120):
     K2 = np.exp(-2j * np.outer(x, x))  # exp(-2i b c)
     val = np.einsum("ab,cd,ad,bc->", F, G, K1, K2, optimize=True)
     return complex(val / np.pi**2)
+
+
+# ---------------------------------------------------------------------------
+# operator trees: Bopp shifts as differential operators, applied to f
+
+
+def bopp_position(mu: int, metric=MOSTLY_MINUS):
+    """Q^mu f = q^mu f + (i/2) g^{mumu} df/dp_mu."""
+    q = PhasePolynomial.coordinate("q", mu)
+    shift = ComplexRational(Fraction(0), Fraction(metric[mu], 2))
+    return lambda f: q * f + f.derivative("p", mu).scale(shift)
+
+
+def bopp_momentum(mu: int, metric=MOSTLY_MINUS):
+    """P^mu f = p^mu f - (i/2) g^{mumu} df/dq_mu."""
+    p = PhasePolynomial.coordinate("p", mu)
+    shift = ComplexRational(Fraction(0), Fraction(-metric[mu], 2))
+    return lambda f: p * f + f.derivative("q", mu).scale(shift)
+
+
+def combine(*parts):
+    """The operator sum_k c_k A_k from (c_k, A_k) pairs."""
+    return lambda f: sum(
+        (op(f).scale(c) for c, op in parts), PhasePolynomial.zero(f.dims)
+    )
+
+
+def compose(*ops):
+    """Ordered composition; the rightmost operator is applied first."""
+
+    def apply(f):
+        for op in reversed(ops):
+            f = op(f)
+        return f
+
+    return apply
+
+
+def tree_commutator(a, b, f: PhasePolynomial) -> PhasePolynomial:
+    """(AB - BA) f by applying the operators in turn."""
+    return a(b(f)) - b(a(f))
+
+
+def tree_lowered_momentum(mu: int, metric=MOSTLY_MINUS):
+    """P_mu = g_{mumu} P^mu."""
+    return combine((metric[mu], bopp_momentum(mu, metric)))
+
+
+def tree_angular(mu: int, nu: int, metric=MOSTLY_MINUS):
+    """M_{mu nu} = Q_mu P_nu - Q_nu P_mu with lowered Bopp shifts."""
+
+    def lowered_q(a):
+        return combine((metric[a], bopp_position(a, metric)))
+
+    return combine(
+        (1, compose(lowered_q(mu), tree_lowered_momentum(nu, metric))),
+        (-1, compose(lowered_q(nu), tree_lowered_momentum(mu, metric))),
+    )

@@ -221,3 +221,19 @@ def test_kg_check_exit_codes(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["pass"] is False
     manifest = json.loads((tmp_path / "kg-check-manifest.json").read_text())
     assert manifest["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wigner", "--out", "w", "--format", "json"],
+        ["landau-eigen", "--n", "1", "--eB", "1e-320"],
+    ],
+)
+def test_domain_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []

@@ -117,6 +117,26 @@ def test_grid_star_identity_element():
     assert np.max(np.abs(right.values - fb.values)) < 1e-12
 
 
+def test_grid_star_unpaired_axis_is_plain_product():
+    # an axis in no pair commutes, so the star acts slice by slice along it
+    axes = [Axis("q", 16, -5, 5), Axis("p", 16, -5, 5), Axis("z", 4, -1, 1)]
+    spec3 = GridSpec(axes, pairs=[(0, 1, 1)])
+    spec2 = GridSpec(axes[:2])
+    f = Field.from_function(
+        spec3, lambda q, p, z: (q + 0.5j * p + z) * np.exp(-(q * q + p * p) / 2)
+    )
+    g = Field.from_function(
+        spec3, lambda q, p, z: (p - 0.2j * z * q) * np.exp(-(q * q + p * p) / 3)
+    )
+    out = grid_star(f, g)
+    fb, gb = bandlimit(f), bandlimit(g)
+    for k in range(4):
+        want = grid_star(
+            Field(spec2, fb.values[:, :, k]), Field(spec2, gb.values[:, :, k])
+        )
+        assert np.max(np.abs(out.values[:, :, k] - want.values)) < 1e-12
+
+
 def test_gaussian_idempotence():
     # exp(-(q^2+p^2)) is (pi times) a pure-state Wigner function and is
     # idempotent under the star product up to the known 1/2 factor
@@ -180,6 +200,17 @@ def test_binary_roundtrip(tmp_path):
     assert np.max(np.abs(g.values - f.values)) == 0.0
     raw = path.read_bytes()
     assert raw[:4] == b"SDEQ"
+
+
+@pytest.mark.parametrize("delta", [-8, 8])
+def test_binary_payload_length_checked(tmp_path, delta):
+    spec = qp_spec(4, 1.0)
+    path = tmp_path / "field.bin"
+    write_field_binary(Field(spec, np.ones(spec.shape)), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:delta] if delta < 0 else raw + b"\0" * delta)
+    with pytest.raises(ValueError, match=f"payload has {256 + delta} bytes, expected 256"):
+        read_field_binary(path)
 
 
 def test_csv_header_and_precision(tmp_path):

@@ -3,17 +3,22 @@ import pytest
 from phaseq import (
     MOSTLY_MINUS,
     MOSTLY_PLUS,
+    AlgebraReport,
     PhasePolynomial,
     angular_generator,
-    bopp_momentum,
     casimir_p2,
     casimir_w2,
     check_casimirs,
     check_poincare_algebra,
     levi_civita,
+    commutator_on,
     monomial_basis,
+    moyal_star,
+    p_var,
     pauli_lubanski,
 )
+
+from oracles import tree_angular, tree_commutator, tree_lowered_momentum
 
 
 def test_levi_civita():
@@ -53,7 +58,9 @@ def test_angular_generator_antisymmetry():
             m_ab = angular_generator(mu, nu)
             m_ba = angular_generator(nu, mu)
             for mono in basis:
-                assert m_ab.apply(mono) == PhasePolynomial.zero() - m_ba.apply(mono)
+                assert moyal_star(m_ab, mono) == PhasePolynomial.zero() - moyal_star(
+                    m_ba, mono
+                )
 
 
 def test_pauli_lubanski_orthogonal_to_momentum():
@@ -64,8 +71,8 @@ def test_pauli_lubanski_orthogonal_to_momentum():
             acc = PhasePolynomial.zero()
             for mu in range(4):
                 w = pauli_lubanski(mu, metric)
-                p = bopp_momentum(mu, metric)
-                acc = acc + (metric[mu] * w.apply(p.apply(mono)))
+                p_mono = moyal_star(p_var(mu), mono, metric)
+                acc = acc + (metric[mu] * moyal_star(w, p_mono, metric))
             assert acc.is_zero()
 
 
@@ -77,7 +84,7 @@ def test_casimir_check_small_degrees():
 def test_casimir_p2_on_constant_is_quadratic_form():
     p2 = casimir_p2()
     one = PhasePolynomial.constant(1)
-    out = p2.apply(one)
+    out = moyal_star(p2, one)
     # P^mu P_mu acting on 1 gives p0^2 - p1^2 - p2^2 - p3^2 (mostly-minus)
     from phaseq import p_var
 
@@ -95,7 +102,7 @@ def test_casimir_w2_annihilates_constants():
     one = PhasePolynomial.constant(1)
     # on scalar (spin-0) states W^2 has no constant piece; acting on 1 the
     # orbital parts cancel exactly
-    assert w2.apply(one).is_zero()
+    assert moyal_star(w2, one).is_zero()
 
 
 def test_degree_validation():
@@ -103,3 +110,30 @@ def test_degree_validation():
         check_poincare_algebra(0)
     with pytest.raises(ValueError):
         check_casimirs(0, 0)
+
+
+def test_dropped_rhs_violations_match_oracle_trees():
+    # with the right-hand sides left out, [M, P] and [M, M] are false
+    # relations; the symbol sweep and the operator-tree sweep must report
+    # the same violations, string for string
+    basis = monomial_basis(2)
+    for metric in (MOSTLY_MINUS, MOSTLY_PLUS):
+        P = [p_var(mu).scale(metric[mu]) for mu in range(4)]
+        relations = [
+            (f"[M_01,P_{sigma}]", angular_generator(0, 1, metric), P[sigma],
+             tree_angular(0, 1, metric), tree_lowered_momentum(sigma, metric))
+            for sigma in range(4)
+        ] + [
+            ("[M_12,M_23]", angular_generator(1, 2, metric),
+             angular_generator(2, 3, metric),
+             tree_angular(1, 2, metric), tree_angular(2, 3, metric)),
+        ]
+        symbols, trees = AlgebraReport(), AlgebraReport()
+        for rel, a, b, tree_a, tree_b in relations:
+            residual = commutator_on(a, b, PhasePolynomial.constant(1), metric)
+            for mono in basis:
+                symbols.record(rel, mono, moyal_star(residual, mono, metric))
+                trees.record(rel, mono, tree_commutator(tree_a, tree_b, mono))
+        assert symbols.checked == trees.checked == 5 * len(basis)
+        assert symbols.violations
+        assert symbols.violations == trees.violations
