@@ -315,6 +315,8 @@ def _cmd_landau_spectrum(args):
 
 
 def _cmd_landau_eigen(args):
+    if not args.z_max > 0:
+        raise ValueError(f"--z-max must be positive, got {args.z_max}")
     params = LandauParams(e=1.0, B=args.eB, s=args.s, n=args.n)
     phi = eigenfunction(args.n, params)
     z = np.linspace(0.0, args.z_max, args.points)
@@ -397,6 +399,10 @@ def _cmd_wigner(args):
     if args.kind == "gaussian":
         if args.grid:
             spec = _parse_grid(args.grid)
+            if len(spec.axes) != 2:
+                raise ValueError(
+                    f"--kind gaussian needs a 2-axis --grid, got {len(spec.axes)} axes"
+                )
         else:
             spec = GridSpec(
                 [Axis("q", 128, -8.0, 8.0), Axis("p", 128, -8.0, 8.0)]

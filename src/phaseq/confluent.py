@@ -72,6 +72,8 @@ def kummer_m(a: float, b: float, x: float) -> float:
         t = total + y
         comp = (t - total) - y
         total = t
+        if not math.isfinite(total):
+            raise OverflowError(f"series for M({a}, {b}, {x}) overflows")
         if abs(term) <= 1e-17 * max(abs(total), 1.0):
             return total
     raise RuntimeError("series for M(a, b, x) did not converge")

@@ -1,7 +1,9 @@
 """Sampled phase-space fields on uniform grids.
 
 Provides Fourier and finite-difference derivatives, L2 inner products,
-a spectrally accurate numerical star product (mode-shift algorithm),
+a numerical star product that is exact for band-limited fields (the
+twisted convolution in the mixed q-Fourier/p representation, at
+O(N_q N log N) for N grid points and N_q modes on the q axes),
 Wigner-function construction, and a two-route grid check of the
 phase-space Klein-Gordon operator.
 """
@@ -285,78 +287,54 @@ def fd_derivative(f: Field, axis: int, order: int = 1) -> Field:
     return Field(f.spec, out / h**order)
 
 
-def grid_star(f: Field, g: Field, threshold: float = 1e-14) -> Field:
-    """Numerical star product by the mode-shift algorithm.
+def grid_star(f: Field, g: Field) -> Field:
+    """Numerical star product in the mixed representation.
 
-    g is expanded in discrete Fourier modes; for each retained mode, f is
-    translated by half the paired conjugate wavenumber via Fourier
-    interpolation (a pure phase in spectral space), so accuracy is
-    spectral. Modes of g below ``threshold`` times the largest mode
-    magnitude are skipped; the cost is O(N^2 log N) in the worst case.
+    Both factors are band-limited, then Fourier-transformed along every
+    paired axis. With f_a(p) and g_c(p) the q-mode coefficients of the two
+    factors, a pair (q, p, sigma) gives the twisted convolution
+
+        h(q, p) = sum_{a,c} exp(i(a+c)(q-lo)) f_a(p + sigma c/2) g_c(p - sigma a/2),
+
+    where both p translations are pure phases in p-Fourier space, so the
+    result is exact for band-limited fields. It makes one O(N log N) pass
+    per q-mode c of g, O(N_q N log N) in all for N grid points and N_q
+    q-modes. An axis in no pair is never transformed, so the product is
+    plain along it.
     """
     f._check(g)
     spec = f.spec
-    shape = spec.shape
-    npts = spec.total_points
+    ndim = len(spec.axes)
+    q_axes = tuple(qi for qi, _, _ in spec.pairs)
+    p_axes = tuple(pi for _, pi, _ in spec.pairs)
+    q_shape = tuple(spec.axes[qi].n for qi in q_axes)
 
-    ghat = np.fft.fftn(g.values) / npts
-    fhat = np.fft.fftn(f.values)
+    def along(axis, values):
+        shape = [1] * ndim
+        shape[axis] = values.size
+        return values.reshape(shape)
 
-    # a fractional translation of the Nyquist mode is ill-defined (its
-    # wavenumber sign is ambiguous on an even grid), so project it out of
-    # both factors; this also restores the exact discrete realness of
-    # f star conj(f) for fields with Nyquist content
-    for axis, ax in enumerate(spec.axes):
-        if ax.n % 2 == 0:
-            cut = [slice(None)] * len(shape)
-            cut[axis] = ax.n // 2
-            ghat[tuple(cut)] = 0.0
-            fhat[tuple(cut)] = 0.0
+    # per-axis wavenumbers and offsets x - lo, broadcastable over the grid
+    k = [along(axis, ax.wavenumbers()) for axis, ax in enumerate(spec.axes)]
+    x = [along(axis, ax.spacing * np.arange(ax.n)) for axis, ax in enumerate(spec.axes)]
 
-    # per-axis wavenumbers, broadcastable over the grid
-    kvecs = []
-    for axis, ax in enumerate(spec.axes):
-        s = [1] * len(spec.axes)
-        s[axis] = ax.n
-        kvecs.append(ax.wavenumbers().reshape(s))
-
-    # shift rule per axis for a given g-mode: the q axis of a pair is
-    # translated by -sign*k_p/2, the p axis by +sign*k_q/2; an axis in no
-    # pair commutes with everything and is never translated
-    partner = {axis: (axis, 0.0) for axis in range(len(spec.axes))}
-    for qi, pi, sign in spec.pairs:
-        partner[qi] = (pi, -0.5 * sign)
-        partner[pi] = (qi, +0.5 * sign)
-
-    # index-space plane waves exp(i k (x - lo)), built per axis and combined
-    # lazily per mode
-    mode_phase = []
-    for axis, ax in enumerate(spec.axes):
-        rel = ax.spacing * np.arange(ax.n)
-        s = [1] * len(spec.axes)
-        s[axis] = ax.n
-        mode_phase.append((ax.wavenumbers(), rel.reshape(s)))
-
-    cutoff = threshold * np.max(np.abs(ghat))
-    out = np.zeros(shape, dtype=np.complex128)
-    for flat in np.flatnonzero(np.abs(ghat) > cutoff):
-        idx = np.unravel_index(flat, shape)
-        coeff = ghat[idx]
-        # translate f: multiply the spectrum by exp(i k_axis * delta_axis)
-        phase = np.zeros(shape)
-        wave = np.zeros(shape)
-        for axis in range(len(spec.axes)):
-            k_here, rel = mode_phase[axis]
-            b = k_here[idx[axis]]
-            wave = wave + b * rel
-            pax, factor = partner[axis]
-            k_partner = mode_phase[pax][0][idx[pax]]
-            delta = factor * k_partner
-            if delta:
-                phase = phase + kvecs[axis] * delta
-        shifted = np.fft.ifftn(fhat * np.exp(1j * phase))
-        out += coeff * np.exp(1j * wave) * shifted
-    return Field(spec, out)
+    fhat = np.fft.fftn(bandlimit(f).values, axes=q_axes + p_axes)
+    ghat = np.fft.fftn(bandlimit(g).values, axes=q_axes + p_axes)
+    # shifts g_c by -sigma a/2 along p for every output q-mode a
+    twist = np.exp(-0.5j * sum(s * k[qi] * k[pi] for qi, pi, s in spec.pairs))
+    out = np.zeros(spec.shape, dtype=np.complex128)
+    for c in np.ndindex(*q_shape):
+        pick = [slice(None)] * ndim
+        shift = wave = 0.0
+        for (qi, pi, s), ci in zip(spec.pairs, c):
+            pick[qi] = slice(ci, ci + 1)
+            kappa = k[qi].flat[ci]
+            shift = shift + s * kappa * k[pi]
+            wave = wave + kappa * x[qi]
+        fs = np.fft.ifftn(fhat * np.exp(0.5j * shift), axes=p_axes)
+        gs = np.fft.ifftn(ghat[tuple(pick)] * twist, axes=p_axes)
+        out += np.exp(1j * wave) * np.fft.ifftn(fs * gs, axes=q_axes)
+    return Field(spec, out / np.prod(q_shape))
 
 
 def wigner_from_amplitude(psi, rep=None, conjugation: str = "hermitian") -> Field:

@@ -2,9 +2,11 @@
 
 Everything here is derived from first principles with a different method
 than the code under test: closed-form Gaussian moment integrals and brute
-numerical quadrature for the star product, direct numeric evaluation
-for the exact polynomial algebra, and Bopp shifts in derivative form as
-the operator route that the package's symbol calculus replaces.
+numerical quadrature for the star product, the mode-shift grid star
+product that the mixed-representation algorithm replaces, direct numeric
+evaluation for the exact polynomial algebra, and Bopp shifts in
+derivative form as the operator route that the package's symbol calculus
+replaces.
 """
 
 import random
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from phaseq import MOSTLY_MINUS, PhasePolynomial, ComplexRational
+from phaseq import MOSTLY_MINUS, ComplexRational, Field, PhasePolynomial
 
 
 def eval_poly(poly: PhasePolynomial, qs, ps) -> complex:
@@ -94,6 +96,58 @@ def quadrature_star(f_fn, g_fn, q, p, half_width: float = 8.0, m: int = 120):
     K2 = np.exp(-2j * np.outer(x, x))  # exp(-2i b c)
     val = np.einsum("ab,cd,ad,bc->", F, G, K1, K2, optimize=True)
     return complex(val / np.pi**2)
+
+
+def mode_shift_star(f, g):
+    """Grid star product by translating f once per Fourier mode of g.
+
+    g is expanded in its discrete Fourier modes; for each nonzero mode, f
+    is translated by half the paired conjugate wavenumber (a pure phase in
+    full Fourier space) and multiplied by that plane wave. The Nyquist mode
+    of every even-sized axis is projected out of both factors first. This
+    costs one full inverse FFT per mode, O(N^2 log N).
+    """
+    spec = f.spec
+    shape = spec.shape
+    ndim = len(shape)
+    ghat = np.fft.fftn(g.values) / spec.total_points
+    fhat = np.fft.fftn(f.values)
+    for axis, ax in enumerate(spec.axes):
+        if ax.n % 2 == 0:
+            cut = [slice(None)] * ndim
+            cut[axis] = ax.n // 2
+            ghat[tuple(cut)] = 0.0
+            fhat[tuple(cut)] = 0.0
+
+    ks = [ax.wavenumbers() for ax in spec.axes]
+    kvecs, rels = [], []
+    for axis, ax in enumerate(spec.axes):
+        s = [1] * ndim
+        s[axis] = ax.n
+        kvecs.append(ks[axis].reshape(s))
+        rels.append((ax.spacing * np.arange(ax.n)).reshape(s))
+
+    # the q axis of a pair is translated by -sign*k_p/2, the p axis by
+    # +sign*k_q/2; an axis in no pair is never translated
+    partner = {axis: (axis, 0.0) for axis in range(ndim)}
+    for qi, pi, sign in spec.pairs:
+        partner[qi] = (pi, -0.5 * sign)
+        partner[pi] = (qi, +0.5 * sign)
+
+    out = np.zeros(shape, dtype=np.complex128)
+    for flat in np.flatnonzero(ghat):
+        idx = np.unravel_index(flat, shape)
+        phase = np.zeros(shape)
+        wave = np.zeros(shape)
+        for axis in range(ndim):
+            wave = wave + ks[axis][idx[axis]] * rels[axis]
+            pax, factor = partner[axis]
+            delta = factor * ks[pax][idx[pax]]
+            if delta:
+                phase = phase + kvecs[axis] * delta
+        shifted = np.fft.ifftn(fhat * np.exp(1j * phase))
+        out += ghat[idx] * np.exp(1j * wave) * shifted
+    return Field(spec, out)
 
 
 # ---------------------------------------------------------------------------

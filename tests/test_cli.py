@@ -228,6 +228,10 @@ def test_kg_check_exit_codes(tmp_path, capsys, monkeypatch):
     [
         ["wigner", "--out", "w", "--format", "json"],
         ["landau-eigen", "--n", "1", "--eB", "1e-320"],
+        ["wigner", "--grid", "x:6:-3:3,y:6:-3:3,px:6:-3:3,py:6:-3:3"],
+        ["landau-eigen", "--z-max", "0"],
+        ["landau-eigen", "--z-max", "-1"],
+        ["specfun-eval", "--function", "kummer-m", "--a", "1e6", "--b", "1", "--x", "0:5:3"],
     ],
 )
 def test_domain_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv):

@@ -53,6 +53,13 @@ def test_kummer_m_domain_errors():
     assert kummer_m(-1, -2, 3.0) == 2.5
 
 
+def test_kummer_m_overflow_raises():
+    # the series terms of M(1e6, 1, x) pass the float range long before
+    # they start to shrink; the sum must not come back as inf
+    with pytest.raises(OverflowError):
+        kummer_m(1e6, 1.0, 5.0)
+
+
 def test_kummer_u_polynomial_branch():
     for n in range(6):
         for x in [0.3, 1.0, 4.0, 9.0]:
