@@ -35,7 +35,8 @@ def kummer_m(a: float, b: float, x: float) -> float:
     """Kummer's function M(a, b, x) = 1F1(a; b; x).
 
     When a is a nonpositive integer the series terminates and is summed with
-    exact rational arithmetic. Otherwise the forward series is used, which is
+    exact rational arithmetic; a series of more than SERIES_TERM_LIMIT terms
+    is refused before summing. Otherwise the forward series is used, which is
     accurate for moderate arguments; |x| is capped at MAX_SERIES_ARG because
     the alternating series loses precision beyond that.
     """
@@ -46,6 +47,11 @@ def kummer_m(a: float, b: float, x: float) -> float:
         raise ValueError("M(a, b, x) has a pole for nonpositive integer b")
     if _is_nonpositive_int(a):
         n = -int(a)
+        if n + 1 > SERIES_TERM_LIMIT:
+            raise ValueError(
+                f"terminating series for M({a}, {b}, x) has {n + 1} terms, "
+                f"more than the limit {SERIES_TERM_LIMIT}"
+            )
         xf = Fraction(x)
         total = Fraction(0)
         term = Fraction(1)

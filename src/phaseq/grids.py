@@ -337,49 +337,27 @@ def grid_star(f: Field, g: Field) -> Field:
     return Field(spec, out / np.prod(q_shape))
 
 
-def wigner_from_amplitude(psi, rep=None, conjugation: str = "hermitian") -> Field:
+def wigner_from_amplitude(psi) -> Field:
     """Wigner function of a scalar or 4-component spinor amplitude.
 
     Scalar: f_W = psi * star * conj(psi). Spinor: the component sum of
-    psi_a star (conj-psi)_a, where the conjugate spinor is either the
-    plain Hermitian conjugate (``conjugation="hermitian"``) or gamma^0
-    times it (``conjugation="dirac"``). The Hermitian form is the one
-    with the positive-norm trace property; the Dirac form vanishes
-    identically on chirality eigenstates.
+    psi_a star conj(psi_a) with the plain Hermitian conjugate, which
+    carries the realness and positive-trace properties.
     """
     if isinstance(psi, Field):
         return grid_star(psi, psi.conjugate())
     psi = list(psi)
     if len(psi) != 4:
         raise ValueError("spinor amplitude needs 4 component fields")
-    if conjugation not in ("hermitian", "dirac"):
-        raise ValueError("conjugation must be 'hermitian' or 'dirac'")
     spec = psi[0].spec
     for comp in psi[1:]:
         if comp.spec != spec:
             raise ValueError("grid spec mismatch between spinor components")
-    if conjugation == "dirac":
-        if rep is None:
-            from .dirac import standard_gamma_rep
-
-            rep = standard_gamma_rep()
-        from .dirac import mat_to_numpy
-
-        g0 = mat_to_numpy(rep.gamma[0])
-        conj = [
-            Field(
-                spec,
-                sum(g0[a][b] * np.conj(psi[b].values) for b in range(4)),
-            )
-            for a in range(4)
-        ]
-    else:
-        conj = [comp.conjugate() for comp in psi]
     out = Field.zeros(spec)
-    for a in range(4):
-        if psi[a].max_abs() == 0.0 or conj[a].max_abs() == 0.0:
+    for comp in psi:
+        if comp.max_abs() == 0.0:
             continue
-        out = out + grid_star(psi[a], conj[a])
+        out = out + grid_star(comp, comp.conjugate())
     return out
 
 

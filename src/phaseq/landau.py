@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .confluent import laguerre_coefficients
-from .grids import Field, fd_derivative, fourier_derivative, wigner_from_amplitude
+from .grids import Field, fd_derivative, wigner_from_amplitude
 
 __all__ = [
     "LandauParams",
@@ -248,23 +248,17 @@ def reduced_ode_apply(phi, params: LandauParams, z):
     return z * vals - eB2 * d1 - eB2 * z * d2
 
 
-def rayleigh_quotient(
-    phi, params: LandauParams, weight=None, z_max=None, quad_points: int = 400
-) -> float:
-    """Eigenvalue estimate <phi, Op phi> / <phi, phi> on z in [0, z_max].
+def rayleigh_quotient(phi, params: LandauParams) -> float:
+    """Eigenvalue estimate <phi, Op phi> / <phi, phi> on z in [0, 30 eB].
 
     The reduced operator z phi - (eB)^2 (z phi')' is self-adjoint with
-    unit weight in z, so the default weight is 1; a callable weight(z)
-    can be supplied for experiments. Quadrature is Gauss-Legendre;
-    analytic derivatives are used when phi is a LandauEigenfunction.
+    unit weight in z. Quadrature is 400-point Gauss-Legendre; analytic
+    derivatives are used when phi is a LandauEigenfunction.
     """
-    if z_max is None:
-        z_max = 30.0 * params.eB
-    x, w = leggauss(quad_points)
+    z_max = 30.0 * params.eB
+    x, w = leggauss(400)
     z = 0.5 * z_max * (x + 1.0)
     w = 0.5 * z_max * w
-    if weight is not None:
-        w = w * weight(z)
     op = reduced_ode_apply(phi, params, z)
     vals = phi(z) if callable(phi) else np.asarray(phi, dtype=float)
     denom = float(np.sum(w * vals * vals))
@@ -302,27 +296,14 @@ def temporal_factor_check(
     return float(np.max(np.abs(applied - closed)))
 
 
-def _derivative(field: Field, axis: int, order: int, spectral: bool) -> Field:
-    if spectral:
-        return fourier_derivative(field, axis, order)
-    return fd_derivative(field, axis, order)
-
-
-def full_operator_apply(phi, params: LandauParams, spectral: bool = False):
+def full_operator_apply(phi: Field, params: LandauParams) -> Field:
     """Apply the full 4D magnetic operator over axes (x, y, px, py).
 
     The operator is the spatial block of the squared interacting Dirac
     operator, with the spin matrix already replaced by its scalar
-    eigenvalue (the -s eB term). Derivatives default to 8th-order finite
-    differences, which keep boundary wraparound artifacts local; pass
-    ``spectral=True`` for Fourier differentiation on fields that are
-    genuinely periodic. Accepts a single Field or a 2-component pair and
-    returns the same shape.
+    eigenvalue (the -s eB term). Derivatives are 8th-order finite
+    differences, which keep boundary wraparound artifacts local.
     """
-    if not isinstance(phi, Field):
-        return type(phi)(
-            full_operator_apply(component, params, spectral) for component in phi
-        )
     if len(phi.spec.axes) != 4:
         raise ValueError("expected a 4D field over (x, y, px, py)")
     eB = params.eB
@@ -330,16 +311,12 @@ def full_operator_apply(phi, params: LandauParams, spectral: bool = False):
     v = phi.values
 
     def d(axis, order=1):
-        return _derivative(phi, axis, order, spectral).values
+        return fd_derivative(phi, axis, order).values
 
     dx, dy, dpx, dpy = d(0), d(1), d(2), d(3)
     dxx, dyy = d(0, 2), d(1, 2)
-    dy_px = _derivative(
-        _derivative(phi, 1, 1, spectral), 2, 1, spectral
-    ).values
-    dx_py = _derivative(
-        _derivative(phi, 0, 1, spectral), 3, 1, spectral
-    ).values
+    dy_px = fd_derivative(fd_derivative(phi, 1), 2).values
+    dx_py = fd_derivative(fd_derivative(phi, 0), 3).values
     out = (PX**2 + PY**2) * v
     out = out - 0.25 * (dxx + dyy)
     out = out - 1j * (PY * dy + PX * dx)
@@ -351,9 +328,9 @@ def full_operator_apply(phi, params: LandauParams, spectral: bool = False):
     )
     # (x + (i/2) d_px)^2 and (y + (i/2) d_py)^2, applied as nested first-order ops
     inner_x = Field(phi.spec, X * v + 0.5j * dpx)
-    sq_x = X * inner_x.values + 0.5j * _derivative(inner_x, 2, 1, spectral).values
+    sq_x = X * inner_x.values + 0.5j * fd_derivative(inner_x, 2).values
     inner_y = Field(phi.spec, Y * v + 0.5j * dpy)
-    sq_y = Y * inner_y.values + 0.5j * _derivative(inner_y, 3, 1, spectral).values
+    sq_y = Y * inner_y.values + 0.5j * fd_derivative(inner_y, 3).values
     out = out + 0.25 * eB * eB * (sq_x + sq_y)
     out = out - params.s * eB * v
     return Field(phi.spec, out)
@@ -374,11 +351,7 @@ class ReductionReport:
 
 
 def reduction_equivalence_check(
-    n: int,
-    params: LandauParams,
-    grid_spec,
-    interior_margin: int | None = None,
-    spectral: bool = False,
+    n: int, params: LandauParams, grid_spec
 ) -> ReductionReport:
     """Compare full_operator_apply(phi_n(z)) with its reduced-route value.
 
@@ -386,19 +359,19 @@ def reduction_equivalence_check(
     eigenvalue kappa - s eB (the spin term is constant on these states),
     so the report gives the max relative deviation from that multiple
     over the interior region, plus the size of the spurious imaginary
-    part. The interior margin excludes points near the (non-decaying)
-    box boundary where wraparound pollutes derivatives.
+    part. The interior margin, a third of the smallest axis and at least
+    4 points, excludes points near the (non-decaying) box boundary where
+    wraparound pollutes derivatives.
     """
     params = LandauParams(params.e, params.B, params.m, params.s, n)
-    if interior_margin is None:
-        # keep the compared region a fixed fraction of the box so that
-        # refinement comparisons look at comparable interiors
-        interior_margin = max(4, min(grid_spec.shape) // 3)
+    # keep the compared region a fixed fraction of the box so that
+    # refinement comparisons look at comparable interiors
+    interior_margin = max(4, min(grid_spec.shape) // 3)
     phi_n = eigenfunction(n, params)
     X, Y, PX, PY = grid_spec.meshgrid()
     zval = z_variable(X, Y, PX, PY, params)
     phi = Field(grid_spec, phi_n(zval))
-    applied = full_operator_apply(phi, params, spectral=spectral)
+    applied = full_operator_apply(phi, params)
     expected = spectrum(params).lambda2_oracle  # kappa - s eB
 
     sl = tuple(
@@ -425,13 +398,13 @@ def reduction_equivalence_check(
     )
 
 
-def wigner_landau(n: int, params: LandauParams, grid_spec, conjugation="hermitian"):
+def wigner_landau(n: int, params: LandauParams, grid_spec):
     """Wigner function of the n-th Landau state on a 4D (x, y, px, py) grid.
 
     The amplitude is the eigenfunction composed with z, embedded in the
     4-spinor with the negative-chirality structure (upper block chi,
-    lower block -chi) and the spin-s row selected. See
-    wigner_from_amplitude for the two conjugation conventions.
+    lower block -chi) and the spin-s row selected; the Wigner function is
+    the Hermitian spinor sum of wigner_from_amplitude.
     """
     params = LandauParams(params.e, params.B, params.m, params.s, n)
     phi_n = eigenfunction(n, params)
@@ -442,4 +415,4 @@ def wigner_landau(n: int, params: LandauParams, grid_spec, conjugation="hermitia
         spinor = [amp, zero, -1 * amp, zero]
     else:
         spinor = [zero, amp, zero, -1 * amp]
-    return wigner_from_amplitude(spinor, conjugation=conjugation)
+    return wigner_from_amplitude(spinor)

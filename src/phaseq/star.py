@@ -1,15 +1,22 @@
 """Moyal star product on polynomials.
 
-The star product is evaluated term by term in powers of the symplectic
-bidifferential operator; on polynomials the series terminates at
-min(deg f, deg g), so the result is exact. Operators are represented by
-their symbols: a Bopp shift is left star multiplication.
+The star product factorizes over the four (q, p) pairs. For one pair
+with metric sign g it has the closed form
+
+    q^a p^b * q^c p^d = sum_{r <= min(a,d), s <= min(b,c)}
+        (i g/2)^{r+s} (-1)^s / (r! s!) * a!/(a-r)! b!/(b-s)! d!/(d-r)! c!/(c-s)!
+        * q^{a+c-r-s} p^{b+d-r-s},
+
+and a monomial product is the Cartesian product of its four pair sums,
+so the result is exact. Operators are represented by their symbols: a
+Bopp shift is left star multiplication.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import comb, factorial, prod
 
 from .algebra import (
     ComplexRational,
@@ -20,37 +27,26 @@ from .algebra import (
 
 __all__ = ["moyal_star", "commutator_on"]
 
-_I_HALF_POWERS = {}
 
+def _pair_terms(a: int, b: int, c: int, d: int, sign: int) -> list:
+    """q^a p^b * q^c p^d for one pair as (k, n) terms n (i/2)^k q^{a+c-k} p^{b+d-k}.
 
-def _i_half_power(k: int) -> ComplexRational:
-    # (i/2)^k as an exact ComplexRational
-    try:
-        return _I_HALF_POWERS[k]
-    except KeyError:
-        re, im = [(1, 0), (0, 1), (-1, 0), (0, -1)][k % 4]
-        value = ComplexRational(Fraction(re, 2**k), Fraction(im, 2**k))
-        _I_HALF_POWERS[k] = value
-        return value
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def _iterated_derivative(poly: PhasePolynomial, kind: str, orders) -> PhasePolynomial:
-    out = poly
-    for mu, count in enumerate(orders):
-        for _ in range(count):
-            if out.is_zero():
-                return out
-            out = out.derivative(kind, mu)
+    The terms with r + s = k share one monomial, so their integer weights
+    g^k (-1)^s C(a,r) C(d,r) r! C(b,s) C(c,s) s! are summed; zero sums
+    are dropped.
+    """
+    out = []
+    for k in range(min(a, d) + min(b, c) + 1):
+        n = 0
+        for r in range(max(0, k - min(b, c)), min(k, a, d) + 1):
+            s = k - r
+            n += (
+                (-1) ** s
+                * comb(a, r) * comb(d, r) * factorial(r)
+                * comb(b, s) * comb(c, s) * factorial(s)
+            )
+        if n:
+            out.append((k, sign**k * n, a + c - k, b + d - k))
     return out
 
 
@@ -59,44 +55,38 @@ def moyal_star(
 ) -> PhasePolynomial:
     """Exact star product of two polynomials.
 
-    Expansion over derivative multi-indices alpha (q on f, p on g) and
-    beta (p on f, q on g):
+    Each term pair multiplies by the per-pair closed form, for sign
+    g = g^{mumu} of pair mu:
 
-        f*g = sum (i/2)^{|a|+|b|} (-1)^{|b|} / (a! b!)
-              * prod_mu g^{mumu (a_mu+b_mu)}
-              * (d_q^a d_p^b f) (d_p^a d_q^b g)
+        q^a p^b * q^c p^d = sum_{r <= min(a,d), s <= min(b,c)}
+            (i g/2)^{r+s} (-1)^s / (r! s!) * a!/(a-r)! b!/(b-s)! d!/(d-r)! c!/(c-s)!
+            * q^{a+c-r-s} p^{b+d-r-s},
+
+    taken over the Cartesian product of the four pairs' terms.
     """
     if f.dims != g.dims:
         raise ValueError(f"dimension mismatch: {f.dims} vs {g.dims}")
-    kmax = min(f.degree(), g.degree())
-    out = PhasePolynomial.zero(f.dims)
-    if f.is_zero() or g.is_zero():
-        return out
-    for k in range(0, max(kmax, 0) + 1):
-        for alpha_beta in _compositions(k, 8):
-            alpha, beta = alpha_beta[:4], alpha_beta[4:]
-            df = _iterated_derivative(
-                _iterated_derivative(f, "q", alpha), "p", beta
-            )
-            if df.is_zero():
-                continue
-            dg = _iterated_derivative(
-                _iterated_derivative(g, "p", alpha), "q", beta
-            )
-            if dg.is_zero():
-                continue
-            weight = _i_half_power(k)
-            if sum(beta) % 2:
-                weight = -weight
-            denom = 1
-            sign = 1
-            for mu in range(4):
-                denom *= factorial(alpha[mu]) * factorial(beta[mu])
-                if metric[mu] == -1 and (alpha[mu] + beta[mu]) % 2:
-                    sign = -sign
-            coeff = weight * ComplexRational(Fraction(sign, denom))
-            out = out + (df * dg).scale(coeff)
-    return out
+    terms: dict = {}
+    for key1, c1 in f.terms.items():
+        for key2, c2 in g.terms.items():
+            c = c1 * c2
+            # c times i^0, i^1, i^2, i^3
+            turns = (c, ComplexRational(-c.im, c.re), -c, ComplexRational(c.im, -c.re))
+            pairs = [
+                _pair_terms(key1[mu], key1[4 + mu], key2[mu], key2[4 + mu], metric[mu])
+                for mu in range(4)
+            ]
+            for combo in product(*pairs):
+                k = sum(t[0] for t in combo)
+                w = Fraction(prod(t[1] for t in combo), 2**k)
+                turned = turns[k % 4]
+                coeff = ComplexRational(turned.re * w, turned.im * w)
+                key = tuple(t[2] for t in combo) + tuple(t[3] for t in combo)
+                acc = terms.get(key)
+                terms[key] = coeff if acc is None else acc + coeff
+    return PhasePolynomial._raw(
+        {key: coeff for key, coeff in terms.items() if coeff}, f.dims
+    )
 
 
 def commutator_on(

@@ -232,6 +232,8 @@ def test_kg_check_exit_codes(tmp_path, capsys, monkeypatch):
         ["landau-eigen", "--z-max", "0"],
         ["landau-eigen", "--z-max", "-1"],
         ["specfun-eval", "--function", "kummer-m", "--a", "1e6", "--b", "1", "--x", "0:5:3"],
+        ["specfun-eval", "--function", "kummer-m", "--a", "1e6", "--b", "1", "--x=-5:-1:3"],
+        ["specfun-eval", "--function", "kummer-m", "--a=-1e9", "--b", "1", "--x", "0:1:2"],
     ],
 )
 def test_domain_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv):

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import eval_laguerre, hyp1f1, hyperu
 
 from phaseq import kummer_m, kummer_u, laguerre, laguerre_coefficients
+from phaseq.confluent import SERIES_TERM_LIMIT
 
 
 def test_kummer_m_pinned_values():
@@ -58,6 +59,17 @@ def test_kummer_m_overflow_raises():
     # they start to shrink; the sum must not come back as inf
     with pytest.raises(OverflowError):
         kummer_m(1e6, 1.0, 5.0)
+
+
+def test_kummer_m_long_terminating_series_raises():
+    # the Kummer transformation turns M(1e6, 1, -5) into the terminating
+    # M(1 - 1e6, 1, 5); both it and M(-1e9, 1, x) are refused before summing
+    with pytest.raises(ValueError, match="terms"):
+        kummer_m(1e6, 1.0, -5.0)
+    with pytest.raises(ValueError, match="terms"):
+        kummer_m(-1e9, 1.0, 0.5)
+    # the longest series within the limit is still summed
+    assert kummer_m(-(SERIES_TERM_LIMIT - 1), 1.0, 0.0) == 1.0
 
 
 def test_kummer_u_polynomial_branch():

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from phaseq import (
     CR_I,
     ComplexRational,
@@ -16,9 +18,22 @@ from phaseq import (
     q_var,
 )
 
-from oracles import bopp_momentum, bopp_position, random_poly
+from oracles import bopp_momentum, bopp_position, derivative_walk_star, random_poly
 
 METRICS = (MOSTLY_MINUS, MOSTLY_PLUS)
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3, 4])
+@pytest.mark.parametrize("metric", METRICS, ids=["mostly_minus", "mostly_plus"])
+def test_star_matches_derivative_walk_oracle(metric, dims):
+    rng = random.Random(100 * dims + metric[0])
+    zero = PhasePolynomial.zero(dims)
+    for _ in range(25):
+        f = random_poly(rng, max_degree=4, n_terms=3, dims=dims)
+        g = random_poly(rng, max_degree=4, n_terms=3, dims=dims)
+        assert moyal_star(f, g, metric) == derivative_walk_star(f, g, metric)
+        assert moyal_star(zero, g, metric) == derivative_walk_star(zero, g, metric)
+        assert moyal_star(f, zero, metric) == derivative_walk_star(f, zero, metric)
 
 
 def test_canonical_star_products():
