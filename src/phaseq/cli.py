@@ -53,7 +53,7 @@ from .landau import (
     wigner_landau,
     z_variable,
 )
-from .parsing import ParseError, parse_expression
+from .parsing import parse_expression
 from .poincare import check_casimirs, check_poincare_algebra
 from .star import moyal_star
 
@@ -83,7 +83,7 @@ def _parse_spin(text: str) -> int:
     return value
 
 
-def _parse_grid(text: str, pairs=None) -> GridSpec:
+def _parse_grid(text: str) -> GridSpec:
     """'axis:n:min:max,axis:n:min:max,...'"""
     axes = []
     for part in text.split(","):
@@ -94,7 +94,7 @@ def _parse_grid(text: str, pairs=None) -> GridSpec:
             )
         name, n, lo, hi = bits
         axes.append(Axis(name, int(n), float(lo), float(hi)))
-    return GridSpec(axes, pairs=pairs)
+    return GridSpec(axes)
 
 
 def _write_manifest(args, command: str, params: dict, outputs, passed, wall_ms):
@@ -132,12 +132,8 @@ def _emit(args, text: str):
 
 def _cmd_star(args):
     metric = _METRICS[args.metric_label]
-    try:
-        f = parse_expression(args.expr1)
-        g = parse_expression(args.expr2)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2, {}, []
+    f = parse_expression(args.expr1)
+    g = parse_expression(args.expr2)
     result = moyal_star(f, g, metric)
     outputs = _emit(args, str(result) + "\n")
     return 0, {"expr1": args.expr1, "expr2": args.expr2}, outputs
@@ -145,12 +141,8 @@ def _cmd_star(args):
 
 def _cmd_bracket(args):
     metric = _METRICS[args.metric_label]
-    try:
-        f = parse_expression(args.expr1)
-        g = parse_expression(args.expr2)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2, {}, []
+    f = parse_expression(args.expr1)
+    g = parse_expression(args.expr2)
     result = moyal_star(f, g, metric) - moyal_star(g, f, metric)
     outputs = _emit(args, str(result) + "\n")
     return 0, {"expr1": args.expr1, "expr2": args.expr2}, outputs
@@ -394,8 +386,9 @@ def _write_field(args, field: Field):
 
 def _cmd_wigner(args):
     if args.out and args.format not in ("csv", "bin"):
-        print("error: field dumps support --format csv or bin", file=sys.stderr)
-        return 2, {}, []
+        raise ValueError("field dumps support --format csv or bin")
+    if args.kind == "landau" and args.grid:
+        raise ValueError("--kind landau takes --points and --box, not --grid")
     if args.kind == "gaussian":
         if args.grid:
             spec = _parse_grid(args.grid)
@@ -458,8 +451,7 @@ def _cmd_wigner(args):
 def _cmd_specfun_eval(args):
     bits = args.x.split(":")
     if len(bits) != 3:
-        print("error: --x wants min:max:count", file=sys.stderr)
-        return 2, {}, []
+        raise ValueError("--x wants min:max:count")
     lo, hi, count = float(bits[0]), float(bits[1]), int(bits[2])
     xs = np.linspace(lo, hi, count)
     if args.function == "kummer-m":
@@ -494,53 +486,59 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        p.add_argument("--out", default=None)
+        p.add_argument("--manifest", default=None)
+
+    def metric(p):
         p.add_argument(
             "--metric",
             dest="metric_label",
             choices=sorted(_METRICS),
             default="+---",
         )
-        p.add_argument("--out", default=None)
-        p.add_argument("--manifest", default=None)
-        p.add_argument(
-            "--format", choices=["csv", "bin", "json"], default="csv"
-        )
 
     p = sub.add_parser("star", help="star product of two expressions")
     common(p)
+    metric(p)
     p.add_argument("--expr1", required=True)
     p.add_argument("--expr2", required=True)
     p.set_defaults(handler=_cmd_star)
 
     p = sub.add_parser("bracket", help="star commutator of two expressions")
     common(p)
+    metric(p)
     p.add_argument("--expr1", required=True)
     p.add_argument("--expr2", required=True)
     p.set_defaults(handler=_cmd_bracket)
 
     p = sub.add_parser("algebra-check", help="verify the symmetry algebra")
     common(p)
+    metric(p)
     p.add_argument("--degree", type=int, default=3)
     p.set_defaults(handler=_cmd_algebra_check)
 
     p = sub.add_parser("casimir-check", help="verify Casimir centrality")
     common(p)
+    metric(p)
     p.add_argument("--degree-p2", type=int, default=2)
     p.add_argument("--degree-w2", type=int, default=1)
     p.set_defaults(handler=_cmd_casimir_check)
 
     p = sub.add_parser("clifford-check", help="verify gamma-matrix identities")
     common(p)
+    metric(p)
     p.add_argument("--gamma-file", default=None)
     p.set_defaults(handler=_cmd_clifford_check)
 
     p = sub.add_parser("dirac-square", help="verify the operator square")
     common(p)
+    metric(p)
     p.add_argument("--degree", type=int, default=2)
     p.set_defaults(handler=_cmd_dirac_square)
 
     p = sub.add_parser("kg-check", help="two-route wave-operator comparison")
     common(p)
+    metric(p)
     p.add_argument("--grid", default="q0:128:-9:9,q1:128:-9:9")
     p.add_argument("--p0", type=float, default=0.7)
     p.add_argument("--p1", type=float, default=0.3)
@@ -581,6 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wigner", help="Wigner function construction and checks")
     common(p)
+    p.add_argument("--format", choices=["csv", "bin", "json"], default="csv")
     p.add_argument("--kind", choices=["gaussian", "landau"], default="gaussian")
     p.add_argument("--grid", default=None)
     p.add_argument("--n", type=int, default=0)
@@ -616,8 +615,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     wall_ms = (time.perf_counter() - start) * 1000.0
-    if code != 2:
-        _write_manifest(args, args.command, params, outputs, code == 0, wall_ms)
+    _write_manifest(args, args.command, params, outputs, code == 0, wall_ms)
     return code
 
 

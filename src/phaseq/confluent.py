@@ -31,6 +31,14 @@ def _is_nonpositive_int(a: float) -> bool:
     return a <= 0 and float(a) == int(a)
 
 
+def _check_terms(what: str, count: int):
+    """Refuse a polynomial of more than SERIES_TERM_LIMIT terms before work."""
+    if count > SERIES_TERM_LIMIT:
+        raise ValueError(
+            f"{what} has {count} terms, more than the limit {SERIES_TERM_LIMIT}"
+        )
+
+
 def kummer_m(a: float, b: float, x: float) -> float:
     """Kummer's function M(a, b, x) = 1F1(a; b; x).
 
@@ -47,11 +55,7 @@ def kummer_m(a: float, b: float, x: float) -> float:
         raise ValueError("M(a, b, x) has a pole for nonpositive integer b")
     if _is_nonpositive_int(a):
         n = -int(a)
-        if n + 1 > SERIES_TERM_LIMIT:
-            raise ValueError(
-                f"terminating series for M({a}, {b}, x) has {n + 1} terms, "
-                f"more than the limit {SERIES_TERM_LIMIT}"
-            )
+        _check_terms(f"terminating series for M({a}, {b}, x)", n + 1)
         xf = Fraction(x)
         total = Fraction(0)
         term = Fraction(1)
@@ -88,7 +92,8 @@ def kummer_m(a: float, b: float, x: float) -> float:
 def kummer_u(a: float, b: float, x: float) -> float:
     """Tricomi's function U(a, b, x), implemented for b = 1 only.
 
-    For a = -n the closed form U(-n, 1, x) = (-1)^n n! L_n(x) is used.
+    For a = -n the closed form U(-n, 1, x) = (-1)^n n! L_n(x) is used, and
+    refused when L_n has more than SERIES_TERM_LIMIT terms.
     Otherwise the logarithmic series
 
         U(a, 1, x) = -(1/Gamma(a)) sum_k (a)_k / (k!)^2 x^k
@@ -101,7 +106,8 @@ def kummer_u(a: float, b: float, x: float) -> float:
         raise ValueError("kummer_u supports b = 1 only")
     if _is_nonpositive_int(a):
         n = -int(a)
-        return ((-1.0) ** n) * math.factorial(n) * laguerre(n, x)
+        value = laguerre(n, x)  # bounds n before n! is built
+        return ((-1.0) ** n) * math.factorial(n) * value
     if x <= 0:
         raise ValueError("U(a, 1, x) requires x > 0")
     if x > MAX_SERIES_ARG:
@@ -132,9 +138,13 @@ def kummer_u(a: float, b: float, x: float) -> float:
 
 
 def laguerre(n: int, x: float) -> float:
-    """Laguerre polynomial L_n(x) by the stable three-term recurrence."""
+    """Laguerre polynomial L_n(x) by the stable three-term recurrence.
+
+    L_n has n + 1 terms; more than SERIES_TERM_LIMIT are refused.
+    """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer")
+    _check_terms(f"L_{n}", n + 1)
     x = float(x)
     prev, cur = 1.0, 1.0 - x
     if n == 0:
@@ -145,9 +155,13 @@ def laguerre(n: int, x: float) -> float:
 
 
 def laguerre_coefficients(n: int) -> list[Fraction]:
-    """Exact coefficients of L_n: L_n(x) = sum_k c_k x^k with rational c_k."""
+    """Exact coefficients of L_n: L_n(x) = sum_k c_k x^k with rational c_k.
+
+    More than SERIES_TERM_LIMIT coefficients are refused.
+    """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer")
+    _check_terms(f"L_{n}", n + 1)
     return [
         Fraction((-1) ** k * math.comb(n, k), math.factorial(k))
         for k in range(n + 1)

@@ -224,12 +224,10 @@ def project_solution(psi, rep: GammaRep, sign: int = 1):
     return [sum(proj[i][j] * comps[j] for j in range(4)) for i in range(4)]
 
 
-def dirac_operator(
-    mass, rep: GammaRep | None = None, metric: MetricSignature = MOSTLY_MINUS
-) -> tuple:
-    """gamma^mu P_mu - m I as a 4x4 tuple of symbols, P_mu = g_{mumu} p^mu."""
-    if rep is None:
-        rep = standard_gamma_rep(metric)
+def dirac_operator(mass, metric: MetricSignature = MOSTLY_MINUS) -> tuple:
+    """gamma^mu P_mu - m I as a 4x4 tuple of symbols, P_mu = g_{mumu} p^mu,
+    with the standard gamma matrices of the metric."""
+    rep = standard_gamma_rep(metric)
     mass_c = ComplexRational.of(mass)
     if mass_c.im != 0 or mass_c.re < 0:
         raise ValueError("mass must be real and nonnegative")
@@ -255,7 +253,7 @@ def dirac_square_check(
     once; the spinor with monomial m in component `slot` maps to row `a`
     as R[a][slot] * m.
     """
-    slash = dirac_operator(0, standard_gamma_rep(metric), metric)
+    slash = dirac_operator(0, metric)
     p2 = casimir_p2(metric)
     residual = [
         [

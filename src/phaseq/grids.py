@@ -42,13 +42,12 @@ _FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class Axis:
-    """One uniform grid axis. Periodic axes exclude the right endpoint."""
+    """One uniform periodic grid axis: n points from lo, excluding hi."""
 
     name: str
     n: int
     lo: float
     hi: float
-    periodic: bool = True
 
     def __post_init__(self):
         if self.n < 4:
@@ -58,7 +57,7 @@ class Axis:
 
     @property
     def spacing(self) -> float:
-        return (self.hi - self.lo) / (self.n if self.periodic else self.n - 1)
+        return (self.hi - self.lo) / self.n
 
     def points(self) -> np.ndarray:
         return self.lo + self.spacing * np.arange(self.n)
@@ -96,12 +95,7 @@ class GridSpec:
             ]
         norm_pairs = []
         seen = set()
-        for entry in pairs:
-            if len(entry) == 2:
-                qi, pi = entry
-                sign = 1
-            else:
-                qi, pi, sign = entry
+        for qi, pi, sign in pairs:
             if sign not in (1, -1):
                 raise ValueError("pair sign must be +1 or -1")
             if qi == pi or not (0 <= qi < len(self.axes)) or not (
@@ -217,25 +211,11 @@ def bandlimit(f: Field) -> Field:
     return Field(f.spec, np.fft.ifftn(spectrum))
 
 
-def _quadrature_weights(spec: GridSpec) -> np.ndarray:
-    w = np.ones(spec.shape)
-    for axis, ax in enumerate(spec.axes):
-        line = np.full(ax.n, ax.spacing)
-        if not ax.periodic:
-            line[0] *= 0.5
-            line[-1] *= 0.5
-        shape = [1] * len(spec.axes)
-        shape[axis] = ax.n
-        w = w * line.reshape(shape)
-    return w
-
-
 def inner_product(f: Field, g: Field) -> complex:
-    """Quadrature of integral conj(f) * g: rectangle rule on periodic axes,
-    trapezoid on bounded ones."""
+    """Quadrature of integral conj(f) * g by the rectangle rule, which is
+    spectrally accurate on the periodic axes."""
     f._check(g)
-    w = _quadrature_weights(f.spec)
-    return complex(np.sum(np.conj(f.values) * g.values * w))
+    return complex(np.sum(np.conj(f.values) * g.values * f.spec.cell_volume()))
 
 
 def norm(f: Field) -> float:
@@ -455,7 +435,7 @@ def write_field_binary(f: Field, path):
         fh.write(inter.tobytes())
 
 
-def read_field_binary(path, axis_names=None, periodic=True) -> Field:
+def read_field_binary(path, axis_names=None) -> Field:
     """Read a field written by write_field_binary."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -468,7 +448,7 @@ def read_field_binary(path, axis_names=None, periodic=True) -> Field:
         for a in range(naxes):
             n, lo, hi = struct.unpack("<Idd", fh.read(20))
             name = axis_names[a] if axis_names else f"axis{a}"
-            axes.append(Axis(name, n, lo, hi, periodic=periodic))
+            axes.append(Axis(name, n, lo, hi))
         spec = GridSpec(axes) if naxes % 2 == 0 else GridSpec(
             axes, pairs=[]
         )

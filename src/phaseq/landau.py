@@ -171,49 +171,12 @@ def eigenfunction(n: int, params: LandauParams) -> LandauEigenfunction:
     return LandauEigenfunction(n, params)
 
 
-def _fd_derivatives(values: np.ndarray, h: float):
-    """Fourth-order first and second derivatives on a uniform 1D grid."""
-    n = len(values)
-    d1 = np.empty(n)
-    d2 = np.empty(n)
-    v = values
-    # interior: 5-point central stencils
-    d1[2:-2] = (-v[4:] + 8 * v[3:-1] - 8 * v[1:-3] + v[:-4]) / (12 * h)
-    d2[2:-2] = (-v[4:] + 16 * v[3:-1] - 30 * v[2:-2] + 16 * v[1:-3] - v[:-4]) / (
-        12 * h * h
-    )
-    # edges: one-sided 5-point stencils
-    for i in (0, 1):
-        d1[i] = (
-            -25 * v[i] + 48 * v[i + 1] - 36 * v[i + 2] + 16 * v[i + 3] - 3 * v[i + 4]
-        ) / (12 * h)
-        d2[i] = (
-            35 * v[i]
-            - 104 * v[i + 1]
-            + 114 * v[i + 2]
-            - 56 * v[i + 3]
-            + 11 * v[i + 4]
-        ) / (12 * h * h)
-    for i in (n - 2, n - 1):
-        d1[i] = (
-            25 * v[i] - 48 * v[i - 1] + 36 * v[i - 2] - 16 * v[i - 3] + 3 * v[i - 4]
-        ) / (12 * h)
-        d2[i] = (
-            35 * v[i]
-            - 104 * v[i - 1]
-            + 114 * v[i - 2]
-            - 56 * v[i - 3]
-            + 11 * v[i - 4]
-        ) / (12 * h * h)
-    return d1, d2
-
-
 def reduced_ode_apply(phi, params: LandauParams, z):
     """Apply z phi - (eB)^2 phi' - (eB)^2 z phi'' pointwise on the z samples.
 
-    ``phi`` may be a LandauEigenfunction (analytic derivatives), any
-    callable (sampled, then differentiated with 4th-order finite
-    differences on the uniform ``z`` grid), or an array of samples.
+    ``phi`` is a LandauEigenfunction (analytic derivatives) or any other
+    callable of z (differentiated with 5-point central stencils of fixed
+    step 1e-3 around each sample).
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 1 or len(z) < 5:
@@ -223,9 +186,7 @@ def reduced_ode_apply(phi, params: LandauParams, z):
         vals = phi(z)
         d1 = phi.derivative(z, 1)
         d2 = phi.derivative(z, 2)
-    elif callable(phi):
-        # the callable can be evaluated anywhere, so use 5-point central
-        # stencils with a small fixed step at each node
+    else:
         vals = phi(z)
         h = 1e-3
         stencil = [phi(z + j * h) for j in (-2, -1, 0, 1, 2)]
@@ -237,14 +198,6 @@ def reduced_ode_apply(phi, params: LandauParams, z):
             + 16 * stencil[1]
             - stencil[0]
         ) / (12 * h * h)
-    else:
-        vals = np.asarray(phi, dtype=float)
-        if len(vals) != len(z):
-            raise ValueError("sample count mismatch")
-        h = z[1] - z[0]
-        if not np.allclose(np.diff(z), h):
-            raise ValueError("z samples must be uniformly spaced")
-        d1, d2 = _fd_derivatives(vals, h)
     return z * vals - eB2 * d1 - eB2 * z * d2
 
 
@@ -260,7 +213,7 @@ def rayleigh_quotient(phi, params: LandauParams) -> float:
     z = 0.5 * z_max * (x + 1.0)
     w = 0.5 * z_max * w
     op = reduced_ode_apply(phi, params, z)
-    vals = phi(z) if callable(phi) else np.asarray(phi, dtype=float)
+    vals = phi(z)
     denom = float(np.sum(w * vals * vals))
     if abs(denom) < 1e-300:
         raise ZeroDivisionError("vanishing norm in Rayleigh quotient")
@@ -272,22 +225,20 @@ def temporal_factor_residual(E: float, alpha: float, m: float) -> float:
     return -((E - 0.5 * alpha) ** 2) - m * m
 
 
-def temporal_factor_check(
-    E: float, alpha: float, m: float, n_points: int = 256
-) -> float:
+def temporal_factor_check(E: float, alpha: float, m: float) -> float:
     """Two-route check of the temporal factor.
 
     Applies the displayed operator -E^2 - i E d_t + (1/4) d_t^2 - m^2 to
-    e^{i alpha t} on a periodic t-grid with Fourier differentiation and
-    returns the maximum deviation from the closed form.
+    e^{i alpha t} on a 256-point periodic t-grid with Fourier
+    differentiation and returns the maximum deviation from the closed form.
     """
     if alpha == 0.0:
         period = 2.0 * np.pi
     else:
         period = 2.0 * np.pi / abs(alpha)
-    t = period * np.arange(n_points) / n_points
+    t = period * np.arange(256) / 256
     phi = np.exp(1j * alpha * t)
-    k = 2.0 * np.pi * np.fft.fftfreq(n_points, d=period / n_points)
+    k = 2.0 * np.pi * np.fft.fftfreq(256, d=period / 256)
     spectrum_hat = np.fft.fft(phi)
     d1 = np.fft.ifft(1j * k * spectrum_hat)
     d2 = np.fft.ifft(-(k**2) * spectrum_hat)

@@ -89,23 +89,22 @@ class AlgebraReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def monomial_basis(max_degree: int, dims: int = 4) -> list[PhasePolynomial]:
-    """All monomials in the 2*dims generators with total degree <= max_degree."""
+def monomial_basis(max_degree: int) -> list[PhasePolynomial]:
+    """All monomials in q0..q3, p0..p3 with total degree <= max_degree."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    slots = [i for i in range(4) if i < dims] + [4 + i for i in range(4) if i < dims]
     keys = [(0,) * 8]
     frontier = keys[:]
     for _ in range(max_degree):
         new = []
         for key in frontier:
-            for slot in slots:
+            for slot in range(8):
                 k = list(key)
                 k[slot] += 1
                 new.append(tuple(k))
         frontier = sorted(set(new))
         keys.extend(frontier)
-    return [PhasePolynomial.monomial(k, dims=dims) for k in sorted(set(keys))]
+    return [PhasePolynomial.monomial(k) for k in sorted(set(keys))]
 
 
 def levi_civita(mu: int, nu: int, rho: int, sigma: int) -> int:

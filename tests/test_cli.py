@@ -234,6 +234,9 @@ def test_kg_check_exit_codes(tmp_path, capsys, monkeypatch):
         ["specfun-eval", "--function", "kummer-m", "--a", "1e6", "--b", "1", "--x", "0:5:3"],
         ["specfun-eval", "--function", "kummer-m", "--a", "1e6", "--b", "1", "--x=-5:-1:3"],
         ["specfun-eval", "--function", "kummer-m", "--a=-1e9", "--b", "1", "--x", "0:1:2"],
+        ["specfun-eval", "--function", "laguerre", "--n", "1000", "--x", "0:1:2"],
+        ["landau-eigen", "--n", "1000"],
+        ["wigner", "--kind", "landau", "--grid", "q:8:-3:3,p:8:-3:3"],
     ],
 )
 def test_domain_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv):
@@ -243,3 +246,41 @@ def test_domain_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, a
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+_MINIMAL_ARGS = {
+    "star": ["--expr1", "q0", "--expr2", "p0"],
+    "bracket": ["--expr1", "q0", "--expr2", "p0"],
+    "algebra-check": ["--degree", "0"],
+    "casimir-check": [],
+    "clifford-check": [],
+    "dirac-square": ["--degree", "0"],
+    "kg-check": ["--grid", "q0:16:-9:9,q1:16:-9:9"],
+    "landau-spectrum": [],
+    "landau-eigen": [],
+    "landau-reduce-check": [],
+    "wigner": ["--grid", "q:16:-5:5,p:16:-5:5"],
+    "specfun-eval": ["--function", "laguerre"],
+}
+_NO_METRIC = ["landau-spectrum", "landau-eigen", "landau-reduce-check", "wigner", "specfun-eval"]
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(c, "--format") for c in _MINIMAL_ARGS if c != "wigner"]
+    + [(c, "--metric") for c in _NO_METRIC],
+)
+def test_options_are_taken_only_where_read(tmp_path, capsys, monkeypatch, command, option):
+    # --format is read by wigner alone, --metric by the exact checks and kg-check
+    monkeypatch.chdir(tmp_path)
+    value = "csv" if option == "--format" else "+---"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_MINIMAL_ARGS[command], f"{option}={value}"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    if option == "--metric":
+        # a subcommand without --metric still records the default signature
+        main([command, *_MINIMAL_ARGS[command]])
+        manifest = json.loads((tmp_path / f"{command}-manifest.json").read_text())
+        assert manifest["metric"] == "+---"

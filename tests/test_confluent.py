@@ -72,6 +72,20 @@ def test_kummer_m_long_terminating_series_raises():
     assert kummer_m(-(SERIES_TERM_LIMIT - 1), 1.0, 0.0) == 1.0
 
 
+def test_laguerre_routes_refuse_long_polynomials():
+    # L_n has n + 1 terms; every route refuses more than the limit before
+    # any work, and kummer_u(-n, 1, x) does so before building n!
+    for n in (SERIES_TERM_LIMIT, 10**9):
+        with pytest.raises(ValueError, match="terms"):
+            laguerre(n, 0.5)
+        with pytest.raises(ValueError, match="terms"):
+            laguerre_coefficients(n)
+        with pytest.raises(ValueError, match="terms"):
+            kummer_u(-n, 1.0, 0.5)
+    # the longest polynomial within the limit is still evaluated
+    assert laguerre(SERIES_TERM_LIMIT - 1, 0.0) == 1.0
+
+
 def test_kummer_u_polynomial_branch():
     for n in range(6):
         for x in [0.3, 1.0, 4.0, 9.0]:
