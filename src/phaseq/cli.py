@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import MOSTLY_MINUS, MOSTLY_PLUS, ComplexRational
-from .confluent import kummer_m, kummer_u, laguerre
+from .confluent import SERIES_TERM_LIMIT, kummer_m, kummer_u, laguerre
 from .dirac import (
     GammaRep,
     anticommutator,
@@ -65,15 +65,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_range(text: str):
-    """'a..b' inclusive, or a single integer."""
+def _parse_range(text: str) -> tuple[int, int]:
+    """The two ends of 'a..b' (inclusive), or of a single integer."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
         if hi < lo:
             raise argparse.ArgumentTypeError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+        return lo, hi
+    return int(text), int(text)
 
 
 def _parse_spin(text: str) -> int:
@@ -277,8 +277,15 @@ def _cmd_kg_check(args):
 
 
 def _cmd_landau_spectrum(args):
+    lo, hi = args.n
+    if hi + 1 > SERIES_TERM_LIMIT:
+        # the level bound that landau-eigen applies through L_n
+        raise ValueError(
+            f"level {hi} is above {SERIES_TERM_LIMIT - 1}, the highest level landau-eigen takes"
+        )
+    levels = list(range(lo, hi + 1))
     rows = ["n,s,eB,k,kappa,lambda2_paper,lambda2_oracle,s_sign_discrepant"]
-    for n in args.n:
+    for n in levels:
         row = spectrum(LandauParams(e=1.0, B=args.eB, s=args.s, n=n))
         rows.append(
             ",".join(
@@ -302,7 +309,7 @@ def _cmd_landau_spectrum(args):
                 file=sys.stderr,
             )
     outputs = _emit(args, "\n".join(rows) + "\n")
-    params = {"n": args.n, "s": args.s, "eB": args.eB}
+    params = {"n": levels, "s": args.s, "eB": args.eB}
     return 0, params, outputs
 
 
@@ -549,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("landau-spectrum", help="level table")
     common(p)
-    p.add_argument("--n", type=_parse_range, default=[0])
+    p.add_argument("--n", type=_parse_range, default=(0, 0))
     p.add_argument("--s", type=_parse_spin, default=1)
     p.add_argument("--eB", type=float, default=1.0)
     p.set_defaults(handler=_cmd_landau_spectrum)

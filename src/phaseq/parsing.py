@@ -9,7 +9,15 @@ Grammar (whitespace insensitive):
     RATIONAL:= UINT ('/' UINT)?
     IDENT   := q0..q3 | p0..p3 | x | y | px | py
 
-The aliases x, y, px, py resolve to q1, q2, p1, p2. The printer emits
+UINT is a run of decimal digits (``str.isdecimal``), so a superscript
+such as '²' is an unexpected character. The aliases x, y, px, py resolve
+to q1, q2, p1, p2. Each term is built directly as one coefficient and one
+exponent vector: a number or 'i' multiplies the coefficient, a coordinate
+or its power adds to the exponent vector. Only a factor of more than one
+term, a parenthesized sum, goes through PhasePolynomial's ``*`` and
+``**``. Terms are summed in place by PhasePolynomial's add-then-drop-zero
+rule, so the result equals the sum of products of its factors, term
+order included. The printer emits
 terms in graded-lexicographic order (highest total degree first) and its
 output always re-parses to the same polynomial.
 """
@@ -18,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import ComplexRational, PhasePolynomial
+from .algebra import _ZERO_KEY, CR_I, CR_ONE, CR_ZERO, ComplexRational, PhasePolynomial
 
 __all__ = ["ParseError", "parse_expression", "format_polynomial"]
 
@@ -52,9 +60,9 @@ class _Tokenizer:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch.isdecimal():
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
                 self.tokens.append(("int", text[i:j], i))
                 i = j
@@ -83,54 +91,102 @@ class _Tokenizer:
         return tok
 
 
+class _Term:
+    """A term being built: coefficient, exponent vector, and the product of
+    its multi-term factors (None while every factor has had one term)."""
+
+    __slots__ = ("coeff", "exps", "poly")
+
+    def __init__(self):
+        self.coeff = CR_ONE
+        self.exps = [0] * 8
+        self.poly = None
+
+    def scale(self, c: ComplexRational):
+        # a product with 1 or with i needs no Fraction multiplication
+        if self.coeff is CR_ONE:
+            self.coeff = c
+        elif c is CR_I:
+            self.coeff = ComplexRational(-self.coeff.im, self.coeff.re)
+        else:
+            self.coeff = self.coeff * c
+
+
+def _power(c: ComplexRational, exponent: int) -> ComplexRational:
+    if exponent == 0:
+        return CR_ONE
+    out = c
+    for _ in range(exponent - 1):
+        out = out * c
+    return out
+
+
 class _Parser:
     def __init__(self, text: str, dims: int):
         self.toks = _Tokenizer(text)
         self.dims = dims
 
     def parse(self) -> PhasePolynomial:
-        poly = self._expr()
+        terms = self._expr()
         kind, value, pos = self.toks.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {value!r}", pos)
-        return poly
+        return PhasePolynomial._raw(terms, self.dims)
 
-    def _expr(self) -> PhasePolynomial:
-        out = self._term()
+    def _expr(self) -> dict:
+        # PhasePolynomial.__add__'s rule, in place: add, then drop a zero sum
+        terms: dict = {}
+        negate = False
         while True:
-            kind, _, _ = self.toks.peek()
-            if kind == "+":
-                self.toks.next()
-                out = out + self._term()
-            elif kind == "-":
-                self.toks.next()
-                out = out - self._term()
-            else:
-                return out
+            for key, coeff in self._term():
+                if negate:
+                    coeff = -coeff
+                if key in terms:
+                    acc = terms[key] + coeff
+                    if acc.is_zero():
+                        del terms[key]
+                    else:
+                        terms[key] = acc
+                else:
+                    terms[key] = coeff
+            kind = self.toks.peek()[0]
+            if kind not in ("+", "-"):
+                return terms
+            self.toks.next()
+            negate = kind == "-"
 
-    def _term(self) -> PhasePolynomial:
-        out = self._factor()
+    def _term(self):
+        """The nonzero (key, coefficient) pairs of one term."""
+        term = _Term()
+        self._factor(term)
         while True:
             kind = self.toks.peek()[0]
             if kind == "*":
                 self.toks.next()
-                out = out * self._factor()
+                self._factor(term)
             elif kind == "/":
                 # division only by a positive integer literal
                 self.toks.next()
                 dkind, dvalue, dpos = self.toks.next()
                 if dkind != "int" or int(dvalue) == 0:
                     raise ParseError("denominator must be a positive integer", dpos)
-                out = out.scale(Fraction(1, int(dvalue)))
+                term.scale(ComplexRational(Fraction(1, int(dvalue))))
             else:
-                return out
+                break
+        if term.coeff.is_zero():
+            return ()
+        key = tuple(term.exps)
+        if term.poly is None:
+            return ((key, term.coeff),)
+        return (PhasePolynomial._raw({key: term.coeff}, self.dims) * term.poly).terms.items()
 
-    def _factor(self) -> PhasePolynomial:
-        sign = 1
+    def _factor(self, term: _Term):
+        negate = False
         while self.toks.peek()[0] == "-":
             self.toks.next()
-            sign = -sign
-        base = self._atom()
+            negate = not negate
+        atom = self._atom()
+        exponent = 1
         if self.toks.peek()[0] == "^":
             self.toks.next()
             kind, value, pos = self.toks.next()
@@ -139,10 +195,24 @@ class _Parser:
             exponent = int(value)
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent {exponent} exceeds limit {MAX_EXPONENT}", pos)
-            base = base**exponent
-        return base if sign == 1 else -base
+        if isinstance(atom, int):
+            term.exps[atom] += exponent
+        elif isinstance(atom, ComplexRational):
+            term.scale(_power(atom, exponent))
+        elif len(atom) > 1:
+            poly = PhasePolynomial._raw(atom, self.dims) ** exponent
+            term.poly = poly if term.poly is None else term.poly * poly
+        else:
+            # a group of at most one term is a monomial factor
+            key, coeff = next(iter(atom.items()), (_ZERO_KEY, CR_ZERO))
+            term.scale(_power(coeff, exponent))
+            for slot, e in enumerate(key):
+                term.exps[slot] += e * exponent
+        if negate:
+            term.coeff = -term.coeff
 
-    def _atom(self) -> PhasePolynomial:
+    def _atom(self):
+        """A coordinate's exponent slot, a number, or the terms of a group."""
         kind, value, pos = self.toks.next()
         if kind == "int":
             numerator = int(value)
@@ -151,15 +221,11 @@ class _Parser:
                 dkind, dvalue, dpos = self.toks.next()
                 if dkind != "int" or int(dvalue) == 0:
                     raise ParseError("denominator must be a positive integer", dpos)
-                return PhasePolynomial.constant(
-                    Fraction(numerator, int(dvalue)), self.dims
-                )
-            return PhasePolynomial.constant(numerator, self.dims)
+                return ComplexRational(Fraction(numerator, int(dvalue)))
+            return ComplexRational(Fraction(numerator))
         if kind == "ident":
             if value == "i":
-                return PhasePolynomial.constant(
-                    ComplexRational(Fraction(0), Fraction(1)), self.dims
-                )
+                return CR_I
             return self._variable(value, pos)
         if kind == "(":
             inner = self._expr()
@@ -169,10 +235,10 @@ class _Parser:
             return inner
         raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
 
-    def _variable(self, name: str, pos: int) -> PhasePolynomial:
+    def _variable(self, name: str, pos: int) -> int:
         if name in _ALIASES:
             kind, index = _ALIASES[name]
-        elif len(name) == 2 and name[0] in "qp" and name[1].isdigit():
+        elif len(name) == 2 and name[0] in "qp" and name[1].isdecimal():
             kind, index = name[0], int(name[1])
         else:
             raise ParseError(f"unknown identifier {name!r}", pos)
@@ -180,7 +246,7 @@ class _Parser:
             raise ParseError(
                 f"identifier {name!r} out of range for dims={self.dims}", pos
             )
-        return PhasePolynomial.coordinate(kind, index, self.dims)
+        return index if kind == "q" else 4 + index
 
 
 def parse_expression(text: str, dims: int = 4) -> PhasePolynomial:

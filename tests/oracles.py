@@ -6,8 +6,9 @@ numerical quadrature for the star product, the mode-shift grid star
 product that the mixed-representation algorithm replaces, the
 derivative-multi-index walk that the per-pair closed-form Moyal star
 replaces, direct numeric evaluation for the exact polynomial algebra,
-and Bopp shifts in derivative form as the operator route that the
-package's symbol calculus replaces.
+Bopp shifts in derivative form as the operator route that the
+package's symbol calculus replaces, and the parser that built each term
+from PhasePolynomial products, which the direct-term parser replaces.
 """
 
 import random
@@ -23,6 +24,7 @@ from phaseq import (
     MetricSignature,
     PhasePolynomial,
 )
+from phaseq.parsing import _ALIASES, MAX_EXPONENT, ParseError, _Tokenizer
 
 
 def eval_poly(poly: PhasePolynomial, qs, ps) -> complex:
@@ -297,3 +299,113 @@ def tree_angular(mu: int, nu: int, metric=MOSTLY_MINUS):
         (1, compose(lowered_q(mu), tree_lowered_momentum(nu, metric))),
         (-1, compose(lowered_q(nu), tree_lowered_momentum(mu, metric))),
     )
+
+
+# ---------------------------------------------------------------------------
+# parser: every term built as a product of PhasePolynomial factors
+
+
+class _ProductParser:
+    def __init__(self, text: str, dims: int):
+        self.toks = _Tokenizer(text)
+        self.dims = dims
+
+    def parse(self) -> PhasePolynomial:
+        poly = self._expr()
+        kind, value, pos = self.toks.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected token {value!r}", pos)
+        return poly
+
+    def _expr(self) -> PhasePolynomial:
+        out = self._term()
+        while True:
+            kind, _, _ = self.toks.peek()
+            if kind == "+":
+                self.toks.next()
+                out = out + self._term()
+            elif kind == "-":
+                self.toks.next()
+                out = out - self._term()
+            else:
+                return out
+
+    def _term(self) -> PhasePolynomial:
+        out = self._factor()
+        while True:
+            kind = self.toks.peek()[0]
+            if kind == "*":
+                self.toks.next()
+                out = out * self._factor()
+            elif kind == "/":
+                # division only by a positive integer literal
+                self.toks.next()
+                dkind, dvalue, dpos = self.toks.next()
+                if dkind != "int" or int(dvalue) == 0:
+                    raise ParseError("denominator must be a positive integer", dpos)
+                out = out.scale(Fraction(1, int(dvalue)))
+            else:
+                return out
+
+    def _factor(self) -> PhasePolynomial:
+        sign = 1
+        while self.toks.peek()[0] == "-":
+            self.toks.next()
+            sign = -sign
+        base = self._atom()
+        if self.toks.peek()[0] == "^":
+            self.toks.next()
+            kind, value, pos = self.toks.next()
+            if kind != "int":
+                raise ParseError("exponent must be a nonnegative integer", pos)
+            exponent = int(value)
+            if exponent > MAX_EXPONENT:
+                raise ParseError(f"exponent {exponent} exceeds limit {MAX_EXPONENT}", pos)
+            base = base**exponent
+        return base if sign == 1 else -base
+
+    def _atom(self) -> PhasePolynomial:
+        kind, value, pos = self.toks.next()
+        if kind == "int":
+            numerator = int(value)
+            if self.toks.peek()[0] == "/":
+                self.toks.next()
+                dkind, dvalue, dpos = self.toks.next()
+                if dkind != "int" or int(dvalue) == 0:
+                    raise ParseError("denominator must be a positive integer", dpos)
+                return PhasePolynomial.constant(
+                    Fraction(numerator, int(dvalue)), self.dims
+                )
+            return PhasePolynomial.constant(numerator, self.dims)
+        if kind == "ident":
+            if value == "i":
+                return PhasePolynomial.constant(
+                    ComplexRational(Fraction(0), Fraction(1)), self.dims
+                )
+            return self._variable(value, pos)
+        if kind == "(":
+            inner = self._expr()
+            ckind, _, cpos = self.toks.next()
+            if ckind != ")":
+                raise ParseError("expected ')'", cpos)
+            return inner
+        raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
+
+    def _variable(self, name: str, pos: int) -> PhasePolynomial:
+        if name in _ALIASES:
+            kind, index = _ALIASES[name]
+        elif len(name) == 2 and name[0] in "qp" and name[1].isdigit():
+            kind, index = name[0], int(name[1])
+        else:
+            raise ParseError(f"unknown identifier {name!r}", pos)
+        if index >= self.dims:
+            raise ParseError(
+                f"identifier {name!r} out of range for dims={self.dims}", pos
+            )
+        return PhasePolynomial.coordinate(kind, index, self.dims)
+
+
+def polynomial_product_parse(text: str, dims: int = 4) -> PhasePolynomial:
+    """Parse ``text`` by multiplying and adding PhasePolynomial values, using
+    the package's scanner; ``parse_expression`` must give the same result."""
+    return _ProductParser(text, dims).parse()

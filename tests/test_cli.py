@@ -237,6 +237,8 @@ def test_kg_check_exit_codes(tmp_path, capsys, monkeypatch):
         ["specfun-eval", "--function", "laguerre", "--n", "1000", "--x", "0:1:2"],
         ["landau-eigen", "--n", "1000"],
         ["wigner", "--kind", "landau", "--grid", "q:8:-3:3,p:8:-3:3"],
+        ["landau-spectrum", "--n", "0..1000000000"],
+        ["landau-spectrum", "--n", "1000"],
     ],
 )
 def test_domain_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,12 +7,13 @@ from phaseq import (
     ParseError,
     PhasePolynomial,
     format_polynomial,
+    moyal_star,
     p_var,
     parse_expression,
     q_var,
 )
 
-from oracles import random_poly
+from oracles import polynomial_product_parse, random_poly
 
 
 def test_basic_expressions():
@@ -64,3 +66,74 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as err:
         parse_expression("q0 + @")
     assert err.value.pos == 5
+
+
+@pytest.mark.parametrize("text, pos", [("q0^\u00b2", 3), ("\u00b2", 0), ("q\u00b2", 0)])
+def test_non_decimal_digits_are_parse_errors(text, pos):
+    # superscript digits pass str.isdigit() but are not decimal digits
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert err.value.pos == pos
+
+
+def _random_texts(dims):
+    rng = random.Random(f"parse-oracle:{dims}")
+    return [
+        (format_polynomial(random_poly(rng, 6, rng.randint(1, 8), dims)), dims)
+        for _ in range(50)
+    ]
+
+
+def _star_texts():
+    rng = random.Random("parse-oracle:star")
+    return [
+        (format_polynomial(moyal_star(random_poly(rng, 3, 3), random_poly(rng, 3, 3))), 4)
+        for _ in range(20)
+    ]
+
+
+_HAND_WRITTEN = [
+    "(1 + 2*i)^3",
+    "i^3",
+    "i*i*i",
+    "(1 + 2*i)*i*q0",
+    "0^0",
+    "--x*py",
+    "q0*p0/7",
+    "((q0 + p0))^2*(q1 - 2/3*i)",
+    "q0*p0 - p0*q0 + 1",
+    "(q0 - q0)*p0",
+    "x + y - px*py",
+    "q0 + p0 - q0 + q0",
+    "(q0 + p0)*(q0 - p0)",
+    "2*(q0 + p0)*q1*(p1 + 1)/3 - i*(q1 - q2)^2",
+    "-(q0 - i)^0*3/4^2",
+    "(2*q0)^3*p0/5",
+]
+_MALFORMED = ["q0 +", "q4", "p0^", "2**q0", "(q0", "q0^100", "foo", "q0 + @", "1/0", "q0/0", ")"]
+
+_PARSE_CASES = {
+    **{f"random-dims{d}": (lambda d=d: _random_texts(d)) for d in range(1, 5)},
+    "star-products": _star_texts,
+    "hand-written": lambda: [(t, 4) for t in _HAND_WRITTEN] + [("q1 - p0", 2), ("q3", 2)],
+    "malformed": lambda: [(t, 4) for t in _MALFORMED],
+}
+
+
+def _outcome(parse, text, dims):
+    try:
+        poly = parse(text, dims)
+    except ParseError as err:
+        return str(err), err.pos
+    assert all(
+        type(c.re) is Fraction and type(c.im) is Fraction for c in poly.terms.values()
+    )
+    return poly, list(poly.terms)
+
+
+@pytest.mark.parametrize("case", list(_PARSE_CASES))
+def test_parse_matches_polynomial_product_oracle(case):
+    for text, dims in _PARSE_CASES[case]():
+        assert _outcome(parse_expression, text, dims) == _outcome(
+            polynomial_product_parse, text, dims
+        ), text
