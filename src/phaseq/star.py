@@ -1,4 +1,4 @@
-"""Moyal star product on polynomials.
+"""Moyal star product on polynomials, in integer arithmetic.
 
 The star product factorizes over the four (q, p) pairs. For one pair
 with metric sign g it has the closed form
@@ -8,15 +8,20 @@ with metric sign g it has the closed form
         * q^{a+c-r-s} p^{b+d-r-s},
 
 and a monomial product is the Cartesian product of its four pair sums,
-so the result is exact. Operators are represented by their symbols: a
+so the result is exact. The sums run over integers: each factor is
+written as Gaussian-integer numerators over one common denominator, a
+term with k = sum(r + s) is scaled by 2^(kmax - k) so that every term
+shares the denominator 2^kmax, and one pair of Fractions is built per
+output term at the end. Operators are represented by their symbols: a
 Bopp shift is left star multiplication.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm
 
 from .algebra import (
     ComplexRational,
@@ -28,7 +33,8 @@ from .algebra import (
 __all__ = ["moyal_star", "commutator_on"]
 
 
-def _pair_terms(a: int, b: int, c: int, d: int, sign: int) -> list:
+@lru_cache(maxsize=4096)
+def _pair_terms(a: int, b: int, c: int, d: int, sign: int) -> tuple:
     """q^a p^b * q^c p^d for one pair as (k, n) terms n (i/2)^k q^{a+c-k} p^{b+d-k}.
 
     The terms with r + s = k share one monomial, so their integer weights
@@ -47,7 +53,17 @@ def _pair_terms(a: int, b: int, c: int, d: int, sign: int) -> list:
             )
         if n:
             out.append((k, sign**k * n, a + c - k, b + d - k))
-    return out
+    return tuple(out)
+
+
+def _integer_form(poly: PhasePolynomial) -> tuple[int, list]:
+    """(D, [(key, re*D, im*D)]): Gaussian-integer numerators over one denominator."""
+    den = lcm(*(part.denominator for c in poly.terms.values() for part in (c.re, c.im)))
+    return den, [
+        (key, c.re.numerator * (den // c.re.denominator),
+         c.im.numerator * (den // c.im.denominator))
+        for key, c in poly.terms.items()
+    ]
 
 
 def moyal_star(
@@ -62,30 +78,50 @@ def moyal_star(
             (i g/2)^{r+s} (-1)^s / (r! s!) * a!/(a-r)! b!/(b-s)! d!/(d-r)! c!/(c-s)!
             * q^{a+c-r-s} p^{b+d-r-s},
 
-    taken over the Cartesian product of the four pairs' terms.
+    taken over the Cartesian product of the four pairs' terms. Every
+    k = sum(r + s) is at most kmax = min(deg f, deg g), so with f and g
+    written as Gaussian-integer numerators over denominators D_f and D_g,
+    each term adds (numerator product) * i^k * prod(n) * 2^(kmax - k) to
+    an integer accumulator; one Fraction pair over D_f * D_g * 2^kmax is
+    built per nonzero output term at the end.
     """
     if f.dims != g.dims:
         raise ValueError(f"dimension mismatch: {f.dims} vs {g.dims}")
-    terms: dict = {}
-    for key1, c1 in f.terms.items():
-        for key2, c2 in g.terms.items():
-            c = c1 * c2
-            # c times i^0, i^1, i^2, i^3
-            turns = (c, ComplexRational(-c.im, c.re), -c, ComplexRational(c.im, -c.re))
+    if not f.terms or not g.terms:
+        return PhasePolynomial.zero(f.dims)
+    den_f, ints_f = _integer_form(f)
+    den_g, ints_g = _integer_form(g)
+    kmax = min(max(map(sum, f.terms)), max(map(sum, g.terms)))
+    sums: dict = {}
+    for key1, x1, y1 in ints_f:
+        for key2, x2, y2 in ints_g:
+            re = x1 * x2 - y1 * y2
+            im = x1 * y2 + y1 * x2
+            # (re + i im) times i^0, i^1, i^2, i^3
+            turns = ((re, im), (-im, re), (-re, -im), (im, -re))
             pairs = [
                 _pair_terms(key1[mu], key1[4 + mu], key2[mu], key2[4 + mu], metric[mu])
                 for mu in range(4)
             ]
-            for combo in product(*pairs):
-                k = sum(t[0] for t in combo)
-                w = Fraction(prod(t[1] for t in combo), 2**k)
-                turned = turns[k % 4]
-                coeff = ComplexRational(turned.re * w, turned.im * w)
-                key = tuple(t[2] for t in combo) + tuple(t[3] for t in combo)
-                acc = terms.get(key)
-                terms[key] = coeff if acc is None else acc + coeff
+            for t0, t1, t2, t3 in product(*pairs):
+                k = t0[0] + t1[0] + t2[0] + t3[0]
+                n = (t0[1] * t1[1] * t2[1] * t3[1]) << (kmax - k)
+                re_k, im_k = turns[k % 4]
+                key = (t0[2], t1[2], t2[2], t3[2], t0[3], t1[3], t2[3], t3[3])
+                acc = sums.get(key)
+                if acc is None:
+                    sums[key] = [re_k * n, im_k * n]
+                else:
+                    acc[0] += re_k * n
+                    acc[1] += im_k * n
+    den = (den_f * den_g) << kmax
     return PhasePolynomial._raw(
-        {key: coeff for key, coeff in terms.items() if coeff}, f.dims
+        {
+            key: ComplexRational(Fraction(re, den), Fraction(im, den))
+            for key, (re, im) in sums.items()
+            if re or im
+        },
+        f.dims,
     )
 
 

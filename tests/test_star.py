@@ -18,7 +18,15 @@ from phaseq import (
     q_var,
 )
 
-from oracles import bopp_momentum, bopp_position, derivative_walk_star, random_poly
+from phaseq.star import _pair_terms
+
+from oracles import (
+    bopp_momentum,
+    bopp_position,
+    derivative_walk_star,
+    fraction_closed_form_star,
+    random_poly,
+)
 
 METRICS = (MOSTLY_MINUS, MOSTLY_PLUS)
 
@@ -34,6 +42,87 @@ def test_star_matches_derivative_walk_oracle(metric, dims):
         assert moyal_star(f, g, metric) == derivative_walk_star(f, g, metric)
         assert moyal_star(zero, g, metric) == derivative_walk_star(zero, g, metric)
         assert moyal_star(f, zero, metric) == derivative_walk_star(f, zero, metric)
+
+
+def _coprime_poly(rng, dims):
+    # degree <= 6, <= 5 terms, parts over the coprime denominators 7, 9, 11, 13
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        key = [0] * 8
+        for _ in range(rng.randint(0, 6)):
+            slot = rng.randrange(2 * dims)
+            key[slot if slot < dims else slot - dims + 4] += 1
+        terms[tuple(key)] = ComplexRational(
+            Fraction(rng.randint(-20, 20), rng.choice((7, 9, 11, 13))),
+            Fraction(rng.randint(-20, 20), rng.choice((7, 9, 11, 13))),
+        )
+    return PhasePolynomial(terms, dims)
+
+
+def _in_pair(poly, mu, dims):
+    # a one-pair polynomial moved onto pair mu
+    return PhasePolynomial(
+        {
+            tuple(key[0] if i == mu else key[4] if i == 4 + mu else 0 for i in range(8)): c
+            for key, c in poly.terms.items()
+        },
+        dims,
+    )
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3, 4])
+@pytest.mark.parametrize("metric", METRICS, ids=["mostly_minus", "mostly_plus"])
+def test_star_matches_fraction_closed_form_oracle(metric, dims):
+    rng = random.Random(1000 * dims + metric[0])
+    last = dims - 1
+    q0, q_last, p_last = q_var(0, dims), q_var(last, dims), p_var(last, dims)
+    third = PhasePolynomial.constant(Fraction(1, 3), dims)
+    half = PhasePolynomial.constant(Fraction(1, 2), dims)
+    zero = PhasePolynomial.zero(dims)
+    const = PhasePolynomial.constant(ComplexRational(Fraction(7, 3), Fraction(-2, 9)), dims)
+    pairs = [(_coprime_poly(rng, dims), _coprime_poly(rng, dims)) for _ in range(30)]
+    f0 = _in_pair(random_poly(rng, max_degree=4, n_terms=3, dims=1), 0, dims)
+    g_last = _in_pair(random_poly(rng, max_degree=4, n_terms=3, dims=1), last, dims)
+    # partial cancellation with denominators that reduce
+    pairs += [(q_last + third, p_last - third), (q_last + half * p_last, q_last - half * p_last)]
+    for f, g in pairs[:3]:
+        pairs += [(zero, f), (f, zero), (const, g), (g, const)]
+    # under one metric and then the other in one process, so that the
+    # pair terms cached for one sign are looked up under the other
+    for m in (metric, MOSTLY_PLUS if metric == MOSTLY_MINUS else MOSTLY_MINUS):
+        for f, g in pairs:
+            got = moyal_star(f, g, m)
+            want = fraction_closed_form_star(f, g, m)
+            assert got == want
+            assert list(got.terms) == list(want.terms)
+            assert all(
+                type(c.re) is Fraction and type(c.im) is Fraction
+                for c in got.terms.values()
+            )
+        # products that cancel to the zero polynomial (f0 and g_last lie in
+        # disjoint pairs only when dims > 1)
+        cancelling = [(q0, q_last)]
+        if dims > 1:
+            cancelling.append((f0, g_last))
+        for a, b in cancelling:
+            diff = moyal_star(a, b, m) - moyal_star(b, a, m)
+            assert diff.is_zero()
+            assert diff == fraction_closed_form_star(a, b, m) - fraction_closed_form_star(b, a, m)
+            assert moyal_star(diff, g_last, m) == fraction_closed_form_star(diff, g_last, m)
+
+
+def test_star_checks_dims_before_zero_factor():
+    for f, g in ((PhasePolynomial.zero(2), q_var(0, 3)), (q_var(0, 3), PhasePolynomial.zero(2))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            moyal_star(f, g)
+
+
+def test_pair_term_cache_is_bounded():
+    maxsize = _pair_terms.cache_info().maxsize
+    assert maxsize is not None
+    for a in range(maxsize + 10):
+        _pair_terms(a, 1, 0, 0, 1)
+    assert _pair_terms.cache_info().currsize <= maxsize
 
 
 def test_canonical_star_products():
