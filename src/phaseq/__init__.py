@@ -28,7 +28,7 @@ from .confluent import kummer_m, kummer_u, laguerre, laguerre_coefficients
 from .dirac import (
     GammaRep,
     chiral_projector,
-    dirac_operator,
+    clifford_report,
     dirac_square_check,
     gamma_product_decomposition,
     project_solution,

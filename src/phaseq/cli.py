@@ -17,21 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .algebra import MOSTLY_MINUS, MOSTLY_PLUS, ComplexRational
+from .algebra import MOSTLY_MINUS, MOSTLY_PLUS, ComplexRational, PhasePolynomial
 from .confluent import SERIES_TERM_LIMIT, kummer_m, kummer_u, laguerre
-from .dirac import (
-    GammaRep,
-    anticommutator,
-    dirac_square_check,
-    gamma_product_decomposition,
-    mat_eq,
-    mat_identity,
-    mat_mul,
-    mat_scale,
-    mat_zero,
-    sigma,
-    standard_gamma_rep,
-)
+from .dirac import GammaRep, clifford_report, dirac_square_check, standard_gamma_rep
 from .grids import (
     Axis,
     Field,
@@ -167,24 +155,44 @@ def _load_gamma_file(path, metric) -> GammaRep:
     """Read four gamma matrices from JSON: {"gamma": [[[re, im], ...x4]x4]x4}.
 
     Entries are strings or numbers accepted by Fraction. Used to exercise
-    clifford-check on externally supplied (possibly wrong) matrices.
+    clifford-check on externally supplied (possibly wrong) matrices; any
+    other shape is a ValueError.
     """
     with open(path) as fh:
         data = json.load(fh)
-    mats = []
-    for raw in data["gamma"]:
-        rows = []
-        for row in raw:
-            rows.append(
+
+    def shaped(value, n):
+        return isinstance(value, list) and len(value) == n
+
+    mats = data.get("gamma") if isinstance(data, dict) else None
+    if not (
+        shaped(mats, 4)
+        and all(shaped(mat, 4) for mat in mats)
+        and all(shaped(row, 4) for mat in mats for row in mat)
+        and all(shaped(c, 2) for mat in mats for row in mat for c in row)
+    ):
+        raise ValueError(
+            f"{path}: want {{\"gamma\": [...]}} with 4 matrices of 4 rows of 4 [re, im] pairs"
+        )
+
+    try:
+        gammas = tuple(
+            tuple(
                 tuple(
-                    ComplexRational(Fraction(str(c[0])), Fraction(str(c[1])))
-                    for c in row
+                    PhasePolynomial.constant(
+                        ComplexRational(Fraction(str(re)), Fraction(str(im)))
+                    )
+                    for re, im in row
                 )
+                for row in mat
             )
-        mats.append(tuple(rows))
+            for mat in mats
+        )
+    except ZeroDivisionError:
+        raise ValueError(f"{path}: an entry has a zero denominator") from None
     reference = standard_gamma_rep(metric)
     return GammaRep(
-        tuple(mats),
+        gammas,
         reference.gamma5,
         reference.alpha,
         reference.sigma_big,
@@ -198,46 +206,10 @@ def _cmd_clifford_check(args):
         rep = _load_gamma_file(args.gamma_file, metric)
     else:
         rep = standard_gamma_rep(metric)
-    failures = []
-    for mu in range(4):
-        for nu in range(4):
-            want = mat_scale(
-                2 * metric[mu] if mu == nu else 0, mat_identity()
-            )
-            if not mat_eq(anticommutator(rep.gamma[mu], rep.gamma[nu]), want):
-                failures.append(f"anticommutator({mu},{nu})")
-    # the mostly-plus gammas carry an extra factor of i each, so every
-    # sigma block flips sign relative to the mostly-minus convention
-    flip = metric[0]
-    boost = mat_scale(ComplexRational(Fraction(0), Fraction(flip)), mat_identity())
-    for j in range(3):
-        want = mat_mul(boost, rep.alpha[j])
-        if not mat_eq(sigma(0, j + 1, rep), want):
-            failures.append(f"sigma(0,{j + 1}) != {flip:+d}*i*alpha^{j + 1}")
-    spatial = {(1, 2): 2, (2, 3): 0, (3, 1): 1}
-    for (i, j), k in spatial.items():
-        if not mat_eq(sigma(i, j, rep), mat_scale(flip, rep.sigma_big[k])):
-            failures.append(f"sigma({i},{j}) != {flip:+d}*Sigma^{k + 1}")
-    try:
-        constant = gamma_product_decomposition(rep)
-        const_str = str(constant.to_complex())
-    except ValueError as exc:
-        failures.append(f"decomposition: {exc}")
-        const_str = None
-    g5 = rep.gamma5
-    if not mat_eq(mat_mul(g5, g5), mat_identity()):
-        failures.append("gamma5^2 != I")
-    for mu in range(4):
-        if not mat_eq(anticommutator(g5, rep.gamma[mu]), mat_zero()):
-            failures.append(f"gamma5 anticommutator with gamma^{mu}")
-    report = {
-        "pass": not failures,
-        "failures": failures,
-        "decomposition_constant": const_str,
-    }
+    report = clifford_report(rep)
     outputs = _emit(args, json.dumps(report, indent=2, sort_keys=True) + "\n")
     params = {"gamma_file": args.gamma_file}
-    return (0 if not failures else 1), params, outputs
+    return (0 if report["pass"] else 1), params, outputs
 
 
 def _cmd_dirac_square(args):

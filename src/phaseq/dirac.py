@@ -1,22 +1,24 @@
-"""Gamma matrices, sigma blocks, chirality projectors, and the Dirac operator.
+"""Gamma matrices, sigma blocks, chirality projectors and the Dirac square,
+in one algebra of 4x4 matrices of phase-space symbols.
 
-Matrix entries are exact ComplexRational scalars, so every Clifford-algebra
-identity is tested for literal equality. Matrices are tuples of row tuples;
-the Dirac operator is a matrix of phase-space symbols acting by left star
-multiplication.
+A matrix is a 4x4 tuple of row tuples of PhasePolynomial entries. It acts
+on spinors by left star multiplication, and the product of two matrices
+sums the star products of their entries, so a matrix of constants (the
+gamma matrices) and a matrix of symbols (gamma^mu P_mu) multiply through
+the same route. Entries are exact, and ``==`` on two matrices is literal
+equality, so every Clifford-algebra identity is decided exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .algebra import (
     CR_I,
-    CR_ONE,
-    CR_ZERO,
     ComplexRational,
     MOSTLY_MINUS,
     MOSTLY_PLUS,
@@ -33,7 +35,6 @@ __all__ = [
     "mat_add",
     "mat_sub",
     "mat_scale",
-    "mat_eq",
     "mat_identity",
     "mat_zero",
     "mat_to_numpy",
@@ -42,31 +43,40 @@ __all__ = [
     "standard_gamma_rep",
     "sigma",
     "gamma_product_decomposition",
+    "clifford_report",
     "chiral_projector",
     "project_solution",
-    "dirac_operator",
     "dirac_square_check",
 ]
 
-Matrix = tuple  # 4x4 nested tuples of ComplexRational
+Matrix = tuple  # 4x4 nested tuples of PhasePolynomial
 
 
-def _m(rows) -> Matrix:
-    return tuple(tuple(ComplexRational.of(v) for v in row) for row in rows)
+def _diag(value) -> Matrix:
+    """value * I, for a number or a phase-space symbol."""
+    if not isinstance(value, PhasePolynomial):
+        value = PhasePolynomial.constant(value)
+    zero = PhasePolynomial.zero()
+    return tuple(tuple(value if i == j else zero for j in range(4)) for i in range(4))
 
 
 def mat_identity() -> Matrix:
-    return _m([[1 if i == j else 0 for j in range(4)] for i in range(4)])
+    return _diag(1)
 
 
 def mat_zero() -> Matrix:
-    return _m([[0] * 4 for _ in range(4)])
+    return _diag(0)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def mat_mul(a: Matrix, b: Matrix, metric: MetricSignature = MOSTLY_MINUS) -> Matrix:
+    """a * b, each entry the sum over k of the star products a[i][k] * b[k][j]."""
     return tuple(
         tuple(
-            sum((a[i][k] * b[k][j] for k in range(4)), CR_ZERO) for j in range(4)
+            sum(
+                (moyal_star(a[i][k], b[k][j], metric) for k in range(4)),
+                PhasePolynomial.zero(),
+            )
+            for j in range(4)
         )
         for i in range(4)
     )
@@ -81,46 +91,36 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_scale(c, a: Matrix) -> Matrix:
-    c = ComplexRational.of(c)
-    return tuple(tuple(c * a[i][j] for j in range(4)) for i in range(4))
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(a[i][j] == b[i][j] for i in range(4) for j in range(4))
+    """c * a for a number c."""
+    return tuple(tuple(a[i][j].scale(c) for j in range(4)) for i in range(4))
 
 
 def mat_to_numpy(a: Matrix) -> np.ndarray:
-    return np.array([[a[i][j].to_complex() for j in range(4)] for i in range(4)])
+    """A matrix of constants as a complex numpy array."""
+    if any(entry.degree() > 0 for row in a for entry in row):
+        raise ValueError("only a matrix of constants converts to numbers")
+    return np.array([[a[i][j].constant_term().to_complex() for j in range(4)] for i in range(4)])
 
 
-def anticommutator(a: Matrix, b: Matrix) -> Matrix:
-    return mat_add(mat_mul(a, b), mat_mul(b, a))
+def anticommutator(a: Matrix, b: Matrix, metric: MetricSignature = MOSTLY_MINUS) -> Matrix:
+    return mat_add(mat_mul(a, b, metric), mat_mul(b, a, metric))
 
 
-# Pauli matrices with exact entries
-_PAULI = (
-    ((CR_ZERO, CR_ONE), (CR_ONE, CR_ZERO)),
-    ((CR_ZERO, -CR_I), (CR_I, CR_ZERO)),
-    ((CR_ONE, CR_ZERO), (CR_ZERO, -CR_ONE)),
-)
+# 2x2 tables: the identity, i*sigma_2 and the Pauli matrices
+_I2 = ((1, 0), (0, 1))
+_I_SIGMA2 = ((0, 1), (-1, 0))
+_PAULI = (((0, 1), (1, 0)), ((0, -1j), (1j, 0)), ((1, 0), (0, -1)))
 
 
-def _block(tl, tr, bl, br) -> Matrix:
-    """Assemble a 4x4 matrix from 2x2 blocks (each a 2x2 tuple or scalar*I2)."""
-
-    def cell(blk, i, j):
-        if blk is None:
-            return CR_ZERO
-        if isinstance(blk, ComplexRational):
-            return blk if i == j else CR_ZERO
-        return blk[i][j]
-
-    rows = []
-    for i in range(2):
-        rows.append(tuple(cell(tl, i, j) for j in range(2)) + tuple(cell(tr, i, j) for j in range(2)))
-    for i in range(2):
-        rows.append(tuple(cell(bl, i, j) for j in range(2)) + tuple(cell(br, i, j) for j in range(2)))
-    return tuple(rows)
+def _kron(a, b) -> Matrix:
+    """The Kronecker product of two 2x2 tables of 0, +-1 and +-1j, as a constant matrix."""
+    return tuple(
+        tuple(
+            PhasePolynomial.constant(a[i // 2][j // 2] * b[i % 2][j % 2])
+            for j in range(4)
+        )
+        for i in range(4)
+    )
 
 
 @dataclass(frozen=True)
@@ -134,28 +134,25 @@ class GammaRep:
     metric: MetricSignature
 
 
+@lru_cache(maxsize=2)
 def standard_gamma_rep(metric: MetricSignature = MOSTLY_MINUS) -> GammaRep:
     """The Dirac-basis gamma matrices.
 
-    With the mostly-minus metric the blocks are the textbook ones; for the
+    gamma^0 = sigma_3 x I, gamma^k = (i sigma_2) x sigma_k, gamma^5 =
+    sigma_1 x I, alpha^k = sigma_1 x sigma_k and Sigma^k = I x sigma_k.
+    With the mostly-minus metric these are the textbook matrices; for the
     mostly-plus metric every gamma is multiplied by i so that the Clifford
     relation {gamma^mu, gamma^nu} = 2 g^{mu nu} I still holds entrywise.
     """
     if metric not in (MOSTLY_MINUS, MOSTLY_PLUS):
         raise ValueError("unsupported metric")
-    g0 = _block(CR_ONE, None, None, -CR_ONE)
-    gi = tuple(_block(None, _PAULI[k], mat_scale_2(-CR_ONE, _PAULI[k]), None) for k in range(3))
-    gammas = (g0,) + gi
+    gammas = (_kron(_PAULI[2], _I2),) + tuple(_kron(_I_SIGMA2, s) for s in _PAULI)
     if metric == MOSTLY_PLUS:
         gammas = tuple(mat_scale(CR_I, g) for g in gammas)
-    gamma5 = _block(None, CR_ONE, CR_ONE, None)
-    alpha = tuple(_block(None, _PAULI[k], _PAULI[k], None) for k in range(3))
-    sigma_big = tuple(_block(_PAULI[k], None, None, _PAULI[k]) for k in range(3))
+    gamma5 = _kron(_PAULI[0], _I2)
+    alpha = tuple(_kron(_PAULI[0], s) for s in _PAULI)
+    sigma_big = tuple(_kron(_I2, s) for s in _PAULI)
     return GammaRep(gammas, gamma5, alpha, sigma_big, metric)
-
-
-def mat_scale_2(c: ComplexRational, a) -> tuple:
-    return tuple(tuple(c * a[i][j] for j in range(2)) for i in range(2))
 
 
 def sigma(mu: int, nu: int, rep: GammaRep) -> Matrix:
@@ -163,7 +160,8 @@ def sigma(mu: int, nu: int, rep: GammaRep) -> Matrix:
     if not (0 <= mu < 4 and 0 <= nu < 4):
         raise ValueError("index out of range")
     comm = mat_sub(
-        mat_mul(rep.gamma[mu], rep.gamma[nu]), mat_mul(rep.gamma[nu], rep.gamma[mu])
+        mat_mul(rep.gamma[mu], rep.gamma[nu], rep.metric),
+        mat_mul(rep.gamma[nu], rep.gamma[mu], rep.metric),
     )
     return mat_scale(ComplexRational(Fraction(0), Fraction(1, 2)), comm)
 
@@ -178,17 +176,19 @@ def gamma_product_decomposition(rep: GammaRep) -> ComplexRational:
         for nu in range(4):
             if mu == nu:
                 continue
-            prod = mat_mul(rep.gamma[mu], rep.gamma[nu])
+            prod = mat_mul(rep.gamma[mu], rep.gamma[nu], rep.metric)
             sig = sigma(mu, nu, rep)
             # off-diagonal metric vanishes, so prod must equal c * sigma
             local = None
             for i in range(4):
                 for j in range(4):
-                    if sig[i][j].is_zero():
-                        if not prod[i][j].is_zero():
+                    s_ij = sig[i][j].constant_term()
+                    p_ij = prod[i][j].constant_term()
+                    if s_ij.is_zero():
+                        if not p_ij.is_zero():
                             raise ValueError("no consistent decomposition constant")
                         continue
-                    ratio = prod[i][j] / sig[i][j]
+                    ratio = p_ij / s_ij
                     if local is None:
                         local = ratio
                     elif local != ratio:
@@ -202,15 +202,55 @@ def gamma_product_decomposition(rep: GammaRep) -> ComplexRational:
     return candidate
 
 
+def clifford_report(rep: GammaRep) -> dict:
+    """Check a representation's Clifford relation, sigma blocks, decomposition
+    constant and gamma5 exactly.
+
+    Returns {"pass", "failures", "decomposition_constant"}: one failure
+    string per identity that does not hold, and the constant of
+    gamma_product_decomposition as str(complex), or None with a
+    "decomposition: ..." failure when it is inconsistent.
+    """
+    metric = rep.metric
+    failures = []
+    for mu in range(4):
+        for nu in range(4):
+            want = mat_scale(2 * metric[mu] if mu == nu else 0, mat_identity())
+            if anticommutator(rep.gamma[mu], rep.gamma[nu], metric) != want:
+                failures.append(f"anticommutator({mu},{nu})")
+    # the mostly-plus gammas carry an extra factor of i each, so every
+    # sigma block flips sign relative to the mostly-minus convention
+    flip = metric[0]
+    for j in range(3):
+        if sigma(0, j + 1, rep) != mat_scale(CR_I * flip, rep.alpha[j]):
+            failures.append(f"sigma(0,{j + 1}) != {flip:+d}*i*alpha^{j + 1}")
+    spatial = {(1, 2): 2, (2, 3): 0, (3, 1): 1}
+    for (i, j), k in spatial.items():
+        if sigma(i, j, rep) != mat_scale(flip, rep.sigma_big[k]):
+            failures.append(f"sigma({i},{j}) != {flip:+d}*Sigma^{k + 1}")
+    try:
+        const_str = str(gamma_product_decomposition(rep).to_complex())
+    except ValueError as exc:
+        failures.append(f"decomposition: {exc}")
+        const_str = None
+    g5 = rep.gamma5
+    if mat_mul(g5, g5, metric) != mat_identity():
+        failures.append("gamma5^2 != I")
+    for mu in range(4):
+        if anticommutator(g5, rep.gamma[mu], metric) != mat_zero():
+            failures.append(f"gamma5 anticommutator with gamma^{mu}")
+    return {
+        "pass": not failures,
+        "failures": failures,
+        "decomposition_constant": const_str,
+    }
+
+
 def chiral_projector(sign: int, rep: GammaRep) -> Matrix:
     """(I + sign*gamma5)/2."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    half = ComplexRational(Fraction(1, 2))
-    return mat_scale(
-        half,
-        mat_add(mat_identity(), mat_scale(ComplexRational.of(sign), rep.gamma5)),
-    )
+    return mat_scale(Fraction(1, 2), mat_add(mat_identity(), mat_scale(sign, rep.gamma5)))
 
 
 def project_solution(psi, rep: GammaRep, sign: int = 1):
@@ -224,47 +264,22 @@ def project_solution(psi, rep: GammaRep, sign: int = 1):
     return [sum(proj[i][j] * comps[j] for j in range(4)) for i in range(4)]
 
 
-def dirac_operator(mass, metric: MetricSignature = MOSTLY_MINUS) -> tuple:
-    """gamma^mu P_mu - m I as a 4x4 tuple of symbols, P_mu = g_{mumu} p^mu,
-    with the standard gamma matrices of the metric."""
-    rep = standard_gamma_rep(metric)
-    mass_c = ComplexRational.of(mass)
-    if mass_c.im != 0 or mass_c.re < 0:
-        raise ValueError("mass must be real and nonnegative")
-    momenta = [p_var(mu).scale(metric[mu]) for mu in range(4)]
-    return tuple(
-        tuple(
-            sum(
-                (momenta[mu].scale(rep.gamma[mu][i][j]) for mu in range(4)),
-                PhasePolynomial.constant(-mass_c if i == j else 0),
-            )
-            for j in range(4)
-        )
-        for i in range(4)
-    )
-
-
 def dirac_square_check(
     max_degree: int = 2, metric: MetricSignature = MOSTLY_MINUS
 ) -> AlgebraReport:
     """Verify (gamma.P)^2 = (P^mu P_mu) I on all spinor monomials of degree <= max_degree.
 
-    The residual symbol matrix R = (gamma.P) * (gamma.P) - P^2 I is built
-    once; the spinor with monomial m in component `slot` maps to row `a`
-    as R[a][slot] * m.
+    gamma.P = sum_mu gamma^mu P_mu with P_mu = g_{mumu} p^mu and the
+    standard gamma matrices of the metric. The residual symbol matrix
+    R = (gamma.P) * (gamma.P) - P^2 I is built once; the spinor with
+    monomial m in component `slot` maps to row `a` as R[a][slot] * m.
     """
-    slash = dirac_operator(0, metric)
-    p2 = casimir_p2(metric)
-    residual = [
-        [
-            sum(
-                (moyal_star(slash[a][k], slash[k][b], metric) for k in range(4)),
-                -p2 if a == b else PhasePolynomial.zero(),
-            )
-            for b in range(4)
-        ]
-        for a in range(4)
-    ]
+    rep = standard_gamma_rep(metric)
+    slash = mat_zero()
+    for mu in range(4):
+        p_mu = _diag(p_var(mu).scale(metric[mu]))
+        slash = mat_add(slash, mat_mul(p_mu, rep.gamma[mu], metric))
+    residual = mat_sub(mat_mul(slash, slash, metric), _diag(casimir_p2(metric)))
     report = AlgebraReport()
     for mono in monomial_basis(max_degree):
         for slot in range(4):

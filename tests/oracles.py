@@ -12,7 +12,10 @@ from PhasePolynomial products, which the direct-term parser replaces,
 and fraction_closed_form_star, the same per-pair closed form summed in
 Fraction and ComplexRational arithmetic term by term, which the
 integer-coded Moyal star (one common denominator per factor, one
-Fraction pair per output term) replaces.
+Fraction pair per output term) replaces, and constant_matrix_product, the
+4x4 product of tuple matrices of ComplexRational that the spinor layer's
+one matrix product (entries are symbols, multiplied by the star product)
+replaces for constant matrices.
 """
 
 import random
@@ -23,6 +26,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from phaseq import (
+    CR_ZERO,
     MOSTLY_MINUS,
     ComplexRational,
     Field,
@@ -312,6 +316,20 @@ def fraction_closed_form_star(
                 terms[key] = coeff if acc is None else acc + coeff
     return PhasePolynomial._raw(
         {key: coeff for key, coeff in terms.items() if coeff}, f.dims
+    )
+
+
+# ---------------------------------------------------------------------------
+# spinor matrices of constants, multiplied in ComplexRational arithmetic
+
+
+def constant_matrix_product(a, b):
+    """a * b for 4x4 tuple matrices of ComplexRational, summed entrywise."""
+    return tuple(
+        tuple(
+            sum((a[i][k] * b[k][j] for k in range(4)), CR_ZERO) for j in range(4)
+        )
+        for i in range(4)
     )
 
 

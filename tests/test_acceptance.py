@@ -49,7 +49,6 @@ from phaseq import (
 )
 from phaseq.dirac import (
     anticommutator,
-    mat_eq,
     mat_identity,
     mat_scale,
 )
@@ -134,14 +133,14 @@ def test_criterion_04_clifford_and_sigma_blocks():
                 want = mat_scale(
                     2 * metric[mu] if mu == nu else 0, mat_identity()
                 )
-                if not mat_eq(anticommutator(rep.gamma[mu], rep.gamma[nu]), want):
+                if anticommutator(rep.gamma[mu], rep.gamma[nu]) != want:
                     failures.append(f"{metric.label()} anticomm({mu},{nu})")
     rep = standard_gamma_rep(MOSTLY_MINUS)
     for j in range(3):
-        if not mat_eq(sigma(0, j + 1, rep), mat_scale(CR_I, rep.alpha[j])):
+        if sigma(0, j + 1, rep) != mat_scale(CR_I, rep.alpha[j]):
             failures.append(f"sigma(0,{j + 1})")
     for (i, j), k in {(1, 2): 2, (2, 3): 0, (3, 1): 1}.items():
-        if not mat_eq(sigma(i, j, rep), rep.sigma_big[k]):
+        if sigma(i, j, rep) != rep.sigma_big[k]:
             failures.append(f"sigma({i},{j})")
     try:
         const = gamma_product_decomposition(rep)

@@ -122,6 +122,49 @@ def test_clifford_check_and_perturbed_input(tmp_path, capsys, monkeypatch):
     assert report["failures"]
 
 
+@pytest.mark.parametrize("metric", ["+---", "-+++"])
+def test_clifford_check_stdout_pinned(tmp_path, capsys, monkeypatch, metric):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "clifford-check", f"--metric={metric}")
+    assert code == 0
+    assert err == ""
+    assert out == (
+        "{\n"
+        '  "decomposition_constant": "-1j",\n'
+        '  "failures": [],\n'
+        '  "pass": true\n'
+        "}\n"
+    )
+
+
+_GAMMA_ROWS = [[["1", 0] if i == j else [0, 0] for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"gam": []},
+        {"gamma": [_GAMMA_ROWS] * 3},
+        {"gamma": [_GAMMA_ROWS] * 3 + [_GAMMA_ROWS[:3]]},
+        {"gamma": [_GAMMA_ROWS] * 3 + [[[1] * 4] * 4]},
+        {"gamma": [_GAMMA_ROWS] * 3 + [[[["1/0", 0]] * 4] * 4]},
+    ],
+    ids=["missing key", "3 matrices", "3x4 matrix", "bare-number entry", "zero denominator"],
+)
+def test_malformed_gamma_file_exits_2(tmp_path, capsys, monkeypatch, doc):
+    gamma_file = tmp_path / "gamma.json"
+    gamma_file.write_text(json.dumps(doc))
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    code, out, err = run(capsys, "clifford-check", "--gamma-file", str(gamma_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert list(workdir.iterdir()) == []
+
+
 def test_landau_spectrum_csv(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(

@@ -1,3 +1,7 @@
+import random
+from fractions import Fraction
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -5,17 +9,22 @@ from phaseq import (
     CR_I,
     MOSTLY_MINUS,
     MOSTLY_PLUS,
+    ComplexRational,
+    MetricSignature,
+    PhasePolynomial,
     chiral_projector,
+    clifford_report,
     dirac_square_check,
     gamma_product_decomposition,
+    p_var,
     project_solution,
+    q_var,
     sigma,
     standard_gamma_rep,
 )
 from phaseq.dirac import (
     anticommutator,
     mat_add,
-    mat_eq,
     mat_identity,
     mat_mul,
     mat_scale,
@@ -23,6 +32,8 @@ from phaseq.dirac import (
     mat_to_numpy,
     mat_zero,
 )
+
+from oracles import constant_matrix_product
 
 METRICS = (MOSTLY_MINUS, MOSTLY_PLUS)
 
@@ -36,27 +47,35 @@ def test_clifford_relation_exact():
                     2 * metric[mu] if mu == nu else 0, mat_identity()
                 )
                 got = anticommutator(rep.gamma[mu], rep.gamma[nu])
-                assert mat_eq(got, want)
+                assert got == want
 
 
 def test_gamma5_properties():
     for metric in METRICS:
         rep = standard_gamma_rep(metric)
-        assert mat_eq(mat_mul(rep.gamma5, rep.gamma5), mat_identity())
+        assert mat_mul(rep.gamma5, rep.gamma5) == mat_identity()
         for mu in range(4):
-            assert mat_eq(anticommutator(rep.gamma5, rep.gamma[mu]), mat_zero())
+            assert anticommutator(rep.gamma5, rep.gamma[mu]) == mat_zero()
 
 
 def test_sigma_block_structure():
     rep = standard_gamma_rep(MOSTLY_MINUS)
     for j in range(3):
         want = mat_scale(CR_I, rep.alpha[j])
-        assert mat_eq(sigma(0, j + 1, rep), want)
+        assert sigma(0, j + 1, rep) == want
     for (i, j), k in {(1, 2): 2, (2, 3): 0, (3, 1): 1}.items():
-        assert mat_eq(sigma(i, j, rep), rep.sigma_big[k])
-        assert mat_eq(
-            sigma(j, i, rep), mat_scale(-1, rep.sigma_big[k])
-        )
+        assert sigma(i, j, rep) == rep.sigma_big[k]
+        assert sigma(j, i, rep) == mat_scale(-1, rep.sigma_big[k])
+
+
+def test_standard_gamma_rep_is_cached_per_metric():
+    assert standard_gamma_rep(MOSTLY_PLUS) is standard_gamma_rep(MOSTLY_PLUS)
+    # an unsupported signature is refused on every call, never cached
+    other = MetricSignature((-1, -1, 1, -1))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            standard_gamma_rep(other)
+    assert standard_gamma_rep.cache_info().maxsize == 2
 
 
 def test_sigma12_spectrum():
@@ -78,7 +97,7 @@ def test_gamma_product_decomposition_constant():
                     continue
                 lhs = mat_mul(rep.gamma[mu], rep.gamma[nu])
                 rhs = mat_scale(c, sigma(mu, nu, rep))
-                assert mat_eq(lhs, rhs)
+                assert lhs == rhs
 
 
 def test_broken_representation_rejected():
@@ -99,11 +118,11 @@ def test_chiral_projectors():
     rep = standard_gamma_rep(MOSTLY_MINUS)
     plus = chiral_projector(1, rep)
     minus = chiral_projector(-1, rep)
-    assert mat_eq(mat_mul(plus, plus), plus)
-    assert mat_eq(mat_mul(minus, minus), minus)
-    assert mat_eq(mat_mul(plus, minus), mat_zero())
-    assert mat_eq(mat_add(plus, minus), mat_identity())
-    assert mat_eq(mat_sub(plus, minus), rep.gamma5)
+    assert mat_mul(plus, plus) == plus
+    assert mat_mul(minus, minus) == minus
+    assert mat_mul(plus, minus) == mat_zero()
+    assert mat_add(plus, minus) == mat_identity()
+    assert mat_sub(plus, minus) == rep.gamma5
 
 
 def test_project_solution_satisfies_chirality():
@@ -121,3 +140,90 @@ def test_dirac_square_degree_one():
         report = dirac_square_check(1, metric)
         assert report.passed
         assert report.checked == 4 * 4 * 9
+
+
+def _entries(m):
+    """A matrix of constant symbols as a tuple matrix of ComplexRational."""
+    assert all(entry.degree() <= 0 for row in m for entry in row)
+    return tuple(tuple(entry.constant_term() for entry in row) for row in m)
+
+
+def _random_constant_matrix(rng):
+    def part():
+        return Fraction(rng.randint(-6, 6), rng.choice((2, 3, 5)))
+
+    return tuple(
+        tuple(
+            PhasePolynomial.constant(
+                ComplexRational(part(), part()) if rng.random() < 0.5 else 0
+            )
+            for _ in range(4)
+        )
+        for _ in range(4)
+    )
+
+
+def _product_families():
+    rng = random.Random(14)
+    mats = [_random_constant_matrix(rng) for _ in range(20)]
+    families = {"random": [(mats[i], mats[(i + 1) % 20]) for i in range(20)]}
+    for metric in METRICS:
+        rep = standard_gamma_rep(metric)
+        extras = (rep.gamma5,) + rep.alpha + rep.sigma_big
+        families[f"gamma pairs {metric.label()}"] = list(product(rep.gamma, repeat=2))
+        families[f"gamma5 alpha Sigma {metric.label()}"] = list(product(extras, repeat=2))
+    return families
+
+
+_PRODUCT_FAMILIES = _product_families()
+
+
+@pytest.mark.parametrize("family", sorted(_PRODUCT_FAMILIES))
+def test_mat_mul_matches_constant_matrix_product(family):
+    for a, b in _PRODUCT_FAMILIES[family]:
+        want = constant_matrix_product(_entries(a), _entries(b))
+        for metric in METRICS:
+            got = mat_mul(a, b, metric)
+            assert all(got[i][j] == want[i][j] for i in range(4) for j in range(4))
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.label())
+def test_mat_mul_star_multiplies_symbol_entries(metric):
+    def times_identity(symbol):
+        zero = PhasePolynomial.zero()
+        return tuple(tuple(symbol if i == j else zero for j in range(4)) for i in range(4))
+
+    for k in range(4):
+        q, p = times_identity(q_var(k)), times_identity(p_var(k))
+        bracket = mat_sub(mat_mul(q, p, metric), mat_mul(p, q, metric))
+        assert bracket == mat_scale(CR_I * metric[k], mat_identity())
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.label())
+def test_clifford_report_standard_rep(metric):
+    report = clifford_report(standard_gamma_rep(metric))
+    assert report == {"pass": True, "failures": [], "decomposition_constant": "-1j"}
+
+
+def test_clifford_report_perturbed_gamma3():
+    rep = standard_gamma_rep(MOSTLY_MINUS)
+    rows = [list(row) for row in rep.gamma[3]]
+    rows[3][1] = PhasePolynomial.constant(7)
+    bad_g3 = tuple(tuple(row) for row in rows)
+    broken = type(rep)(rep.gamma[:3] + (bad_g3,), rep.gamma5, rep.alpha, rep.sigma_big, rep.metric)
+    assert clifford_report(broken) == {
+        "pass": False,
+        "failures": [
+            "anticommutator(1,3)",
+            "anticommutator(2,3)",
+            "anticommutator(3,1)",
+            "anticommutator(3,2)",
+            "anticommutator(3,3)",
+            "sigma(0,3) != +1*i*alpha^3",
+            "sigma(2,3) != +1*Sigma^1",
+            "sigma(3,1) != +1*Sigma^2",
+            "decomposition: no consistent decomposition constant",
+            "gamma5 anticommutator with gamma^3",
+        ],
+        "decomposition_constant": None,
+    }
