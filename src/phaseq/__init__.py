@@ -24,7 +24,7 @@ from .algebra import (
     poisson_bracket,
     q_var,
 )
-from .confluent import kummer_m, kummer_u, laguerre, laguerre_coefficients
+from .confluent import kummer_m, kummer_u, laguerre
 from .dirac import (
     GammaRep,
     chiral_projector,

@@ -351,6 +351,7 @@ def _cmd_landau_reduce_check(args):
         "points": args.points,
         "box": args.box,
         "tol": args.tol,
+        "imag_tol": args.imag_tol,
     }
     return (0 if passed else 1), params_doc, outputs
 

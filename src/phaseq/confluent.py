@@ -4,7 +4,9 @@ M(a, b, x) is summed by its forward power series, which terminates into an
 exact polynomial whenever a is a nonpositive integer. U(a, b, x) is provided
 for b = 1 only, via the logarithmic series in terms of the digamma function;
 that is the branch needed by the magnetic bound-state problem, where
-U(-n, 1, x) reduces to (-1)^n n! L_n(x).
+U(-n, 1, x) reduces to (-1)^n n! L_n(x). Every Laguerre value, including
+the Landau eigenfunctions and their derivatives, comes from one
+generalized-Laguerre three-term recurrence.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ __all__ = [
     "kummer_m",
     "kummer_u",
     "laguerre",
-    "laguerre_coefficients",
     "MAX_SERIES_ARG",
     "SERIES_TERM_LIMIT",
 ]
@@ -137,32 +138,28 @@ def kummer_u(a: float, b: float, x: float) -> float:
     raise RuntimeError("series for U(a, 1, x) did not converge")
 
 
+def _laguerre(n: int, alpha: int, x):
+    """Generalized Laguerre polynomial L_n^(alpha)(x) by the stable recurrence
+
+        L_{k+1} = ((2k + 1 + alpha - x) L_k - (k + alpha) L_{k-1}) / (k + 1),
+
+    in plain arithmetic, so x may be a float or a numpy array. L_n has
+    n + 1 terms; more than SERIES_TERM_LIMIT are refused before the loop.
+    """
+    _check_terms(f"L_{n}", n + 1)
+    prev, cur = 1.0, 1.0 + alpha - x
+    if n == 0:
+        return prev
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+    return cur
+
+
 def laguerre(n: int, x: float) -> float:
-    """Laguerre polynomial L_n(x) by the stable three-term recurrence.
+    """Laguerre polynomial L_n(x), the alpha = 0 case of the recurrence.
 
     L_n has n + 1 terms; more than SERIES_TERM_LIMIT are refused.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer")
-    _check_terms(f"L_{n}", n + 1)
-    x = float(x)
-    prev, cur = 1.0, 1.0 - x
-    if n == 0:
-        return prev
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-    return cur
-
-
-def laguerre_coefficients(n: int) -> list[Fraction]:
-    """Exact coefficients of L_n: L_n(x) = sum_k c_k x^k with rational c_k.
-
-    More than SERIES_TERM_LIMIT coefficients are refused.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    _check_terms(f"L_{n}", n + 1)
-    return [
-        Fraction((-1) ** k * math.comb(n, k), math.factorial(k))
-        for k in range(n + 1)
-    ]
+    return _laguerre(n, 0, float(x))

@@ -4,8 +4,9 @@ Provides Fourier and finite-difference derivatives, L2 inner products,
 a numerical star product that is exact for band-limited fields (the
 twisted convolution in the mixed q-Fourier/p representation, at
 O(N_q N log N) for N grid points and N_q modes on the q axes),
-Wigner-function construction, and a two-route grid check of the
-phase-space Klein-Gordon operator.
+the Wigner function of a scalar amplitude (one grid star; a spinor's is
+a sum of these), and a two-route grid check of the phase-space
+Klein-Gordon operator.
 """
 
 from __future__ import annotations
@@ -317,28 +318,13 @@ def grid_star(f: Field, g: Field) -> Field:
     return Field(spec, out / np.prod(q_shape))
 
 
-def wigner_from_amplitude(psi) -> Field:
-    """Wigner function of a scalar or 4-component spinor amplitude.
+def wigner_from_amplitude(psi: Field) -> Field:
+    """Wigner function f_W = psi (star) conj(psi) of a scalar amplitude.
 
-    Scalar: f_W = psi * star * conj(psi). Spinor: the component sum of
-    psi_a star conj(psi_a) with the plain Hermitian conjugate, which
-    carries the realness and positive-trace properties.
+    A spinor's Hermitian Wigner function is the sum of this over its
+    components; wigner_landau's spinor reduces to twice one term.
     """
-    if isinstance(psi, Field):
-        return grid_star(psi, psi.conjugate())
-    psi = list(psi)
-    if len(psi) != 4:
-        raise ValueError("spinor amplitude needs 4 component fields")
-    spec = psi[0].spec
-    for comp in psi[1:]:
-        if comp.spec != spec:
-            raise ValueError("grid spec mismatch between spinor components")
-    out = Field.zeros(spec)
-    for comp in psi:
-        if comp.max_abs() == 0.0:
-            continue
-        out = out + grid_star(comp, comp.conjugate())
-    return out
+    return grid_star(psi, psi.conjugate())
 
 
 @dataclass(frozen=True)

@@ -2,21 +2,20 @@
 
 Covers the full 4D magnetic operator over (x, y, px, py), the radial
 variable z and the reduced ordinary differential equation it satisfies,
-the exact spectrum, polynomial-times-exponential eigenfunctions, a
-Rayleigh-quotient eigenvalue oracle, the temporal factor, and Landau
-Wigner functions.
+the exact spectrum, polynomial-times-exponential eigenfunctions evaluated
+through the Laguerre recurrence, a Rayleigh-quotient eigenvalue oracle,
+the temporal factor, and Landau Wigner functions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .confluent import laguerre_coefficients
+from .confluent import _laguerre
 from .grids import Field, fd_derivative, wigner_from_amplitude
 
 __all__ = [
@@ -114,47 +113,43 @@ def spectrum(params: LandauParams) -> SpectrumRow:
 class LandauEigenfunction:
     """phi_n(z) = e^{-z/eB} L_n(2 z / eB), with analytic derivatives.
 
-    Polynomial coefficients are carried exactly (rational arithmetic on
-    the exactly representable eB) and evaluated by Horner's rule, so the
-    only floating-point error is in the final evaluation.
+    With u = 2z/eB every polynomial factor comes from the generalized
+    Laguerre recurrence: dL_n^(a)/du = -L_{n-1}^(a+1), so the k-th
+    z-derivative of L_n(u) is (-2/eB)^k L_{n-k}^(k)(u). A level of more than
+    SERIES_TERM_LIMIT - 1 is refused when first evaluated.
     """
 
     def __init__(self, n: int, params: LandauParams):
         self.n = n
         self.params = params
-        eB = Fraction(params.e) * Fraction(params.B)
-        self.decay = float(1 / eB)  # a in e^{-a z}
-        scale = 2 / eB  # u = (2/eB) z
-        coeffs = laguerre_coefficients(n)
-        self.poly = [float(c * scale**k) for k, c in enumerate(coeffs)]
-        # derivative polynomials of P(z)
-        self.poly1 = [k * c for k, c in enumerate(self.poly)][1:] or [0.0]
-        self.poly2 = [k * c for k, c in enumerate(self.poly1)][1:] or [0.0]
+        self.decay = 1.0 / params.eB  # a in e^{-a z}
+        self.scale = 2.0 / params.eB  # u = scale * z
+        if not math.isfinite(self.scale):
+            raise ValueError(f"eB = {params.eB} is too small: 2/eB overflows a float")
 
-    def _horner(self, coeffs, z):
-        out = np.zeros_like(np.asarray(z, dtype=float)) + coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            out = out * z + c
-        return out
+    def _laguerre_derivative(self, order: int, u):
+        """d^order/dz^order of L_n(u), which vanishes past degree n."""
+        if order > self.n:
+            return 0.0
+        return (-self.scale) ** order * _laguerre(self.n - order, order, u)
 
     def __call__(self, z):
-        return np.exp(-self.decay * np.asarray(z, dtype=float)) * self._horner(
-            self.poly, z
-        )
+        z = np.asarray(z, dtype=float)
+        return np.exp(-self.decay * z) * _laguerre(self.n, 0, self.scale * z)
 
     def derivative(self, z, order: int = 1):
         """Analytic first or second derivative with respect to z."""
+        if order not in (1, 2):
+            raise ValueError("order must be 1 or 2")
         z = np.asarray(z, dtype=float)
-        a = self.decay
+        a, u = self.decay, self.scale * z
         e = np.exp(-a * z)
-        p = self._horner(self.poly, z)
-        p1 = self._horner(self.poly1, z)
+        p = _laguerre(self.n, 0, u)
+        p1 = self._laguerre_derivative(1, u)
         if order == 1:
             return e * (p1 - a * p)
-        if order == 2:
-            p2 = self._horner(self.poly2, z)
-            return e * (p2 - 2 * a * p1 + a * a * p)
-        raise ValueError("order must be 1 or 2")
+        p2 = self._laguerre_derivative(2, u)
+        return e * (p2 - 2 * a * p1 + a * a * p)
 
     def norm_squared(self) -> float:
         """Integral of phi_n^2 over z in [0, inf); equals eB/2 exactly."""
@@ -352,18 +347,14 @@ def reduction_equivalence_check(
 def wigner_landau(n: int, params: LandauParams, grid_spec):
     """Wigner function of the n-th Landau state on a 4D (x, y, px, py) grid.
 
-    The amplitude is the eigenfunction composed with z, embedded in the
-    4-spinor with the negative-chirality structure (upper block chi,
-    lower block -chi) and the spin-s row selected; the Wigner function is
-    the Hermitian spinor sum of wigner_from_amplitude.
+    The amplitude phi is the eigenfunction composed with z. In the 4-spinor
+    with the negative-chirality structure (upper block chi, lower block
+    -chi) and the spin-s row selected, its nonzero components are +phi and
+    -phi, and both give the same grid star, so the Hermitian spinor sum is
+    2 phi (star) conj(phi) bit for bit.
     """
     params = LandauParams(params.e, params.B, params.m, params.s, n)
     phi_n = eigenfunction(n, params)
     X, Y, PX, PY = grid_spec.meshgrid()
     amp = Field(grid_spec, phi_n(z_variable(X, Y, PX, PY, params)))
-    zero = Field.zeros(grid_spec)
-    if params.s == 1:
-        spinor = [amp, zero, -1 * amp, zero]
-    else:
-        spinor = [zero, amp, zero, -1 * amp]
-    return wigner_from_amplitude(spinor)
+    return 2 * wigner_from_amplitude(amp)

@@ -15,7 +15,11 @@ integer-coded Moyal star (one common denominator per factor, one
 Fraction pair per output term) replaces, and constant_matrix_product, the
 4x4 product of tuple matrices of ComplexRational that the spinor layer's
 one matrix product (entries are symbols, multiplied by the star product)
-replaces for constant matrices.
+replaces for constant matrices. spinor_wigner_sum is the per-component
+Hermitian spinor Wigner sum that wigner_landau's single grid star replaces,
+and laguerre_coefficients gives the exact rational power-basis
+coefficients of L_n, evaluated in Fraction arithmetic, against which the
+generalized-Laguerre recurrence of the Landau eigenfunctions is checked.
 """
 
 import random
@@ -32,6 +36,7 @@ from phaseq import (
     Field,
     MetricSignature,
     PhasePolynomial,
+    grid_star,
 )
 from phaseq.parsing import _ALIASES, MAX_EXPONENT, ParseError, _Tokenizer
 
@@ -167,6 +172,52 @@ def mode_shift_star(f, g):
         shifted = np.fft.ifftn(fhat * np.exp(1j * phase))
         out += ghat[idx] * np.exp(1j * wave) * shifted
     return Field(spec, out)
+
+
+def spinor_wigner_sum(psi):
+    """Hermitian Wigner function of a 4-spinor, one grid star per component.
+
+    The sum of psi_a (star) conj(psi_a) over the nonzero components, which
+    wigner_landau replaces by twice one grid star for its (+phi, -phi)
+    spinor.
+    """
+    out = Field.zeros(psi[0].spec)
+    for comp in psi:
+        if comp.max_abs() == 0.0:
+            continue
+        out = out + grid_star(comp, comp.conjugate())
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Laguerre polynomials in exact rational arithmetic
+
+
+def laguerre_coefficients(n: int) -> list:
+    """Exact coefficients of L_n: L_n(x) = sum_k c_k x^k with rational c_k."""
+    return [
+        Fraction((-1) ** k * comb(n, k), factorial(k)) for k in range(n + 1)
+    ]
+
+
+def _horner(coeffs, x):
+    out = Fraction(0)
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def exact_landau_polynomials(n: int, eB: Fraction, z: Fraction):
+    """P, P' and P'' at z for P(z) = L_n(2z/eB), all in Fraction arithmetic.
+
+    The Landau eigenfunction is e^{-z/eB} P(z); its derivatives follow from
+    these by the product rule.
+    """
+    scale = 2 / Fraction(eB)
+    poly = [c * scale**k for k, c in enumerate(laguerre_coefficients(n))]
+    poly1 = [k * c for k, c in enumerate(poly)][1:]
+    poly2 = [k * c for k, c in enumerate(poly1)][1:]
+    return tuple(_horner(p, Fraction(z)) for p in (poly, poly1, poly2))
 
 
 # ---------------------------------------------------------------------------

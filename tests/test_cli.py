@@ -199,6 +199,32 @@ def test_landau_eigen(tmp_path, capsys, monkeypatch):
     assert "pass=true" in err
 
 
+@pytest.mark.parametrize("eB", ["0.5", "1", "2"])
+@pytest.mark.parametrize("n", ["16", "40", "999"])
+def test_landau_eigen_high_levels_pass(tmp_path, capsys, monkeypatch, n, eB):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "landau-eigen", "--n", n, "--eB", eB)
+    assert code == 0
+    assert "pass=true" in err
+
+
+def test_landau_reduce_check_manifest_params(tmp_path, capsys, monkeypatch):
+    # every option that decides pass is recorded, --imag-tol included
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "landau-reduce-check", "--points", "12", "--imag-tol", "0.001")
+    assert code == 0
+    manifest = json.loads((tmp_path / "landau-reduce-check-manifest.json").read_text())
+    assert manifest["params"] == {
+        "n": 0,
+        "s": 1,
+        "eB": 1.0,
+        "points": 12,
+        "box": 1.7,
+        "tol": 0.005,
+        "imag_tol": 0.001,
+    }
+
+
 def test_specfun_eval(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(

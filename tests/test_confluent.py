@@ -2,11 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from scipy.special import eval_laguerre, hyp1f1, hyperu
+from scipy.special import eval_genlaguerre, eval_laguerre, hyp1f1, hyperu
 
-from phaseq import kummer_m, kummer_u, laguerre, laguerre_coefficients
-from phaseq.confluent import SERIES_TERM_LIMIT
+from phaseq import kummer_m, kummer_u, laguerre
+from phaseq.confluent import SERIES_TERM_LIMIT, _laguerre
+
+from oracles import laguerre_coefficients
 
 
 def test_kummer_m_pinned_values():
@@ -79,8 +82,6 @@ def test_laguerre_routes_refuse_long_polynomials():
         with pytest.raises(ValueError, match="terms"):
             laguerre(n, 0.5)
         with pytest.raises(ValueError, match="terms"):
-            laguerre_coefficients(n)
-        with pytest.raises(ValueError, match="terms"):
             kummer_u(-n, 1.0, 0.5)
     # the longest polynomial within the limit is still evaluated
     assert laguerre(SERIES_TERM_LIMIT - 1, 0.0) == 1.0
@@ -125,6 +126,22 @@ def test_laguerre_against_scipy():
         assert abs(laguerre(n, x) - ref) < 1e-10 * max(1.0, abs(ref))
 
 
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+def test_generalized_laguerre_recurrence_against_scipy(alpha):
+    # the one recurrence serves floats and numpy arrays alike
+    rng = random.Random(89 + alpha)
+    for _ in range(100):
+        n = rng.randrange(0, 41)
+        x = rng.uniform(0, 60)
+        ref = eval_genlaguerre(n, alpha, x)
+        assert abs(_laguerre(n, alpha, x) - ref) < 1e-10 * max(1.0, abs(ref))
+    xs = np.linspace(0.0, 60.0, 241)
+    for n in (0, 1, 2, 7, 40):
+        ref = eval_genlaguerre(n, alpha, xs)
+        got = _laguerre(n, alpha, xs)
+        assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+
+
 def test_laguerre_coefficients_exact():
     assert laguerre_coefficients(0) == [Fraction(1)]
     assert laguerre_coefficients(1) == [Fraction(1), Fraction(-1)]
@@ -147,8 +164,6 @@ def test_laguerre_coefficients_exact():
 def test_laguerre_validation():
     with pytest.raises(ValueError):
         laguerre(-1, 1.0)
-    with pytest.raises(ValueError):
-        laguerre_coefficients(-2)
 
 
 def test_confluent_ode_residuals():

@@ -18,7 +18,7 @@ from phaseq import (
     write_field_csv,
 )
 
-from oracles import gaussian_qp_star, mode_shift_star, quadrature_star
+from oracles import gaussian_qp_star, mode_shift_star, quadrature_star, spinor_wigner_sum
 
 
 def qp_spec(n=64, half=8.0):
@@ -185,7 +185,8 @@ def test_wigner_realness_scalar_and_spinor():
     fw = wigner_from_amplitude(amp)
     assert np.max(np.abs(fw.values.imag)) < 1e-12 * fw.max_abs()
     zero = Field.zeros(spec)
-    fw4 = wigner_from_amplitude([amp, zero, -1 * amp, zero])
+    fw4 = spinor_wigner_sum([amp, zero, -1 * amp, zero])
+    assert np.array_equal(fw4.values, (2 * fw).values)
     assert np.max(np.abs(fw4.values.imag)) < 1e-12 * fw4.max_abs()
 
 

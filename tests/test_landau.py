@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.special import eval_laguerre
 
 from phaseq import (
     Axis,
+    Field,
     GridSpec,
     LandauParams,
     eigenfunction,
@@ -18,6 +20,8 @@ from phaseq import (
     wigner_landau,
     z_variable,
 )
+
+from oracles import exact_landau_polynomials, spinor_wigner_sum
 
 
 def test_params_validation():
@@ -62,6 +66,29 @@ def test_eigenfunction_values_and_derivatives():
     h = 1e-6
     num_d1 = (phi(z + h) - phi(z - h)) / (2 * h)
     assert np.max(np.abs(phi.derivative(z, 1) - num_d1)) < 1e-7
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 16, 40, 100])
+def test_eigenfunction_matches_exact_oracle(n):
+    # phi, phi' and phi'' against e^{-z/eB} times the product-rule
+    # combination of L_n(2z/eB) and its z-derivatives, summed exactly from
+    # the rational coefficients at rational z on [0, 30 eB]
+    for eB in (Fraction(1, 2), Fraction(1), Fraction(2)):
+        phi = eigenfunction(n, LandauParams(e=1.0, B=float(eB)))
+        a = 1 / eB
+        zs = [j * eB / 2 for j in range(61)]
+        exact = [[], [], []]
+        for z in zs:
+            p, p1, p2 = exact_landau_polynomials(n, eB, z)
+            e = math.exp(-float(a * z))
+            exact[0].append(e * float(p))
+            exact[1].append(e * float(p1 - a * p))
+            exact[2].append(e * float(p2 - 2 * a * p1 + a * a * p))
+        z = np.array([float(v) for v in zs])
+        got = (phi(z), phi.derivative(z, 1), phi.derivative(z, 2))
+        for values, want in zip(got, exact):
+            want = np.array(want)
+            assert np.max(np.abs(values - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_eigenfunction_norm_exact():
@@ -145,3 +172,21 @@ def test_wigner_landau_real_small_grid():
     params = LandauParams(e=1.0, B=1.0, s=1)
     fw = wigner_landau(0, params, spec)
     assert np.max(np.abs(fw.values.imag)) < 1e-10 * fw.max_abs()
+
+
+@pytest.mark.parametrize("points", [8, 12])
+@pytest.mark.parametrize("s", [1, -1])
+@pytest.mark.parametrize("n", [0, 2])
+def test_wigner_landau_equals_spinor_sum(n, s, points):
+    # one grid star, doubled, is bit-identical to the spinor sum over the
+    # components (+phi, -phi) in the spin-s rows
+    spec = GridSpec(
+        [Axis(name, points, -3.0, 3.0) for name in ("x", "y", "px", "py")],
+        pairs=[(0, 2, -1), (1, 3, -1)],
+    )
+    params = LandauParams(e=1.0, B=1.0, s=s, n=n)
+    amp = Field(spec, eigenfunction(n, params)(z_variable(*spec.meshgrid(), params)))
+    zero = Field.zeros(spec)
+    spinor = [amp, zero, -1 * amp, zero] if s == 1 else [zero, amp, zero, -1 * amp]
+    fw = wigner_landau(n, params, spec)
+    assert np.array_equal(fw.values, spinor_wigner_sum(spinor).values)
