@@ -10,17 +10,16 @@ operator agrees with the reduced route on a grid. Run with:
 import numpy as np
 
 from phaseq import (
-    Axis,
-    GridSpec,
     LandauParams,
     eigenfunction,
+    landau_grid,
     rayleigh_quotient,
     reduced_ode_apply,
     reduction_equivalence_check,
     spectrum,
 )
 
-params = LandauParams(e=1.0, B=1.0, s=1)
+params = LandauParams(eB=1.0, s=1)
 
 # The bound-state condition quantizes k = 2n+1, so the oscillator-like
 # invariant kappa = eB(2n+1). The two lambda^2 columns disagree by the
@@ -28,7 +27,7 @@ params = LandauParams(e=1.0, B=1.0, s=1)
 # lambda2_oracle is what kappa = lambda^2 + s eB actually forces.
 print("n   k  kappa  lambda2_paper  lambda2_oracle")
 for n in range(6):
-    row = spectrum(LandauParams(e=1.0, B=1.0, s=1, n=n))
+    row = spectrum(n, params)
     print(
         f"{row.n}  {row.k:2d}  {row.kappa:5.1f}  {row.lambda2_paper:13.1f}"
         f"  {row.lambda2_oracle:14.1f}"
@@ -39,7 +38,7 @@ for n in range(6):
 # reduced equation to rounding error.
 phi = eigenfunction(2, params)
 z = np.linspace(0.0, 30.0, 300)
-kappa = spectrum(LandauParams(n=2)).kappa
+kappa = spectrum(2, params).kappa
 residual = np.max(np.abs(reduced_ode_apply(phi, params, z) - kappa * phi(z)))
 print(f"\nn=2 eigenfunction: max ODE residual {residual:.2e}")
 print(f"norm^2 (closed form): {phi.norm_squared()}")
@@ -55,11 +54,7 @@ print(f"Rayleigh of phi0 + 0.01 phi1: {rayleigh_quotient(mixed, params):.6f}")
 # Full 4D check: apply the complete star-squared operator to the
 # eigenfunction on an (x, y, px, py) grid and compare with the reduced
 # route over the grid interior.
-spec = GridSpec(
-    [Axis(name, 12, -1.7, 1.7) for name in ("x", "y", "px", "py")],
-    pairs=[(0, 2, -1), (1, 3, -1)],
-)
-report = reduction_equivalence_check(0, params, spec)
+report = reduction_equivalence_check(0, params, landau_grid(12, 1.7))
 print(
     f"\nfull 4D operator vs reduced route (12^4): rel diff"
     f" {report.relative_difference:.2e}, imaginary part"

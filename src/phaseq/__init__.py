@@ -59,6 +59,8 @@ from .landau import (
     SpectrumRow,
     eigenfunction,
     full_operator_apply,
+    landau_amplitude,
+    landau_grid,
     rayleigh_quotient,
     reduced_ode_apply,
     reduction_equivalence_check,

@@ -34,12 +34,13 @@ from .grids import (
 from .landau import (
     LandauParams,
     eigenfunction,
+    landau_amplitude,
+    landau_grid,
     rayleigh_quotient,
     reduced_ode_apply,
     reduction_equivalence_check,
     spectrum,
     wigner_landau,
-    z_variable,
 )
 from .parsing import parse_expression
 from .poincare import check_casimirs, check_poincare_algebra
@@ -256,9 +257,10 @@ def _cmd_landau_spectrum(args):
             f"level {hi} is above {SERIES_TERM_LIMIT - 1}, the highest level landau-eigen takes"
         )
     levels = list(range(lo, hi + 1))
+    params = LandauParams(args.eB, args.s)
     rows = ["n,s,eB,k,kappa,lambda2_paper,lambda2_oracle,s_sign_discrepant"]
     for n in levels:
-        row = spectrum(LandauParams(e=1.0, B=args.eB, s=args.s, n=n))
+        row = spectrum(n, params)
         rows.append(
             ",".join(
                 [
@@ -288,15 +290,15 @@ def _cmd_landau_spectrum(args):
 def _cmd_landau_eigen(args):
     if not args.z_max > 0:
         raise ValueError(f"--z-max must be positive, got {args.z_max}")
-    params = LandauParams(e=1.0, B=args.eB, s=args.s, n=args.n)
+    params = LandauParams(args.eB, args.s)
     phi = eigenfunction(args.n, params)
     z = np.linspace(0.0, args.z_max, args.points)
     vals = phi(z)
-    kappa = spectrum(params).kappa
+    kappa = spectrum(args.n, params).kappa
     residual = reduced_ode_apply(phi, params, z) - kappa * vals
     rel_res = float(np.max(np.abs(residual))) / float(np.max(np.abs(vals)))
     rq = rayleigh_quotient(phi, params)
-    passed = rel_res <= args.tol and abs(rq - kappa) <= 1e-7 * max(kappa, 1.0)
+    passed = rel_res <= args.tol and abs(rq - kappa) <= 1e-7 * kappa
     rows = ["z,phi,ode_residual"]
     for zi, vi, ri in zip(z, vals, residual):
         rows.append(f"{_fmt(zi)},{_fmt(vi)},{_fmt(ri)}")
@@ -319,12 +321,8 @@ def _cmd_landau_eigen(args):
 
 
 def _cmd_landau_reduce_check(args):
-    half = args.box
-    spec = GridSpec(
-        [Axis(name, args.points, -half, half) for name in ("x", "y", "px", "py")],
-        pairs=[(0, 2, -1), (1, 3, -1)],
-    )
-    params = LandauParams(e=1.0, B=args.eB, s=args.s, n=args.n)
+    spec = landau_grid(args.points, args.box)
+    params = LandauParams(args.eB, args.s)
     report = reduction_equivalence_check(args.n, params, spec)
     passed = (
         report.relative_difference <= args.tol
@@ -365,8 +363,6 @@ def _write_field(args, field: Field):
 
 
 def _cmd_wigner(args):
-    if args.out and args.format not in ("csv", "bin"):
-        raise ValueError("field dumps support --format csv or bin")
     if args.kind == "landau" and args.grid:
         raise ValueError("--kind landau takes --points and --box, not --grid")
     if args.kind == "gaussian":
@@ -388,20 +384,10 @@ def _cmd_wigner(args):
         norm2 = inner_product(reference, reference).real
         realness_tol, trace_tol = 1e-8, 1e-6
     else:
-        half = args.box
-        spec = GridSpec(
-            [
-                Axis(name, args.points, -half, half)
-                for name in ("x", "y", "px", "py")
-            ],
-            pairs=[(0, 2, -1), (1, 3, -1)],
-        )
-        params = LandauParams(e=1.0, B=args.eB, s=args.s, n=args.n)
-        fw = wigner_landau(args.n, params, spec)
-        X, Y, PX, PY = spec.meshgrid()
-        amp = bandlimit(
-            Field(spec, eigenfunction(args.n, params)(z_variable(X, Y, PX, PY, params)))
-        )
+        spec = landau_grid(args.points, args.box)
+        amp = landau_amplitude(args.n, LandauParams(args.eB, args.s), spec)
+        fw = wigner_landau(amp)
+        amp = bandlimit(amp)
         norm2 = 2.0 * inner_product(amp, amp).real
         realness_tol, trace_tol = 1e-6, 1e-3
     ones = Field(spec, np.ones(spec.shape))
@@ -559,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wigner", help="Wigner function construction and checks")
     common(p)
-    p.add_argument("--format", choices=["csv", "bin", "json"], default="csv")
+    p.add_argument("--format", choices=["csv", "bin"], default="csv")
     p.add_argument("--kind", choices=["gaussian", "landau"], default="gaussian")
     p.add_argument("--grid", default=None)
     p.add_argument("--n", type=int, default=0)

@@ -16,15 +16,17 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .confluent import _laguerre
-from .grids import Field, fd_derivative, wigner_from_amplitude
+from .grids import Axis, Field, GridSpec, fd_derivative, wigner_from_amplitude
 
 __all__ = [
     "LandauParams",
     "SpectrumRow",
+    "landau_grid",
     "z_variable",
     "spectrum",
     "LandauEigenfunction",
     "eigenfunction",
+    "landau_amplitude",
     "reduced_ode_apply",
     "rayleigh_quotient",
     "temporal_factor_residual",
@@ -38,25 +40,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LandauParams:
-    """Coupling, field strength, mass, spin label and level index."""
+    """Charge times field strength and the spin label; the level is passed apart."""
 
-    e: float = 1.0
-    B: float = 1.0
-    m: float = 0.0
+    eB: float = 1.0
     s: int = 1
-    n: int = 0
 
     def __post_init__(self):
-        if self.e * self.B <= 0:
+        if self.eB <= 0:
             raise ValueError("bound levels require e*B > 0")
         if self.s not in (1, -1):
             raise ValueError("s must be +1 or -1")
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError("n must be a nonnegative integer")
 
-    @property
-    def eB(self) -> float:
-        return self.e * self.B
+
+def _check_level(n) -> None:
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("n must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -76,6 +74,15 @@ class SpectrumRow:
         return self.lambda2_paper != self.lambda2_oracle
 
 
+def landau_grid(points: int, box: float) -> GridSpec:
+    """The (x, y, px, py) grid, points per axis on [-box, box), x paired with
+    px and y with py (sign -1), as full_operator_apply and landau_amplitude assume."""
+    return GridSpec(
+        [Axis(name, points, -box, box) for name in ("x", "y", "px", "py")],
+        pairs=[(0, 2, -1), (1, 3, -1)],
+    )
+
+
 def z_variable(x, y, px, py, params: LandauParams):
     """The radial phase-space variable, evaluated as a completed square.
 
@@ -89,14 +96,15 @@ def z_variable(x, y, px, py, params: LandauParams):
     return a * a + b * b
 
 
-def spectrum(params: LandauParams) -> SpectrumRow:
+def spectrum(n: int, params: LandauParams) -> SpectrumRow:
     """Exact level data for (n, s): k = 2n+1 and kappa = eB(2n+1).
 
     Two lambda^2 values are reported: ``lambda2_paper`` = eB(2n+1+s) and
     ``lambda2_oracle`` = kappa - s eB = eB(2n+1-s). They differ in the sign
     of the spin shift; both are emitted so the discrepancy stays visible.
     """
-    n, s, eB = params.n, params.s, params.eB
+    _check_level(n)
+    s, eB = params.s, params.eB
     k = 2 * n + 1
     kappa = eB * k
     return SpectrumRow(
@@ -124,8 +132,9 @@ class LandauEigenfunction:
         self.params = params
         self.decay = 1.0 / params.eB  # a in e^{-a z}
         self.scale = 2.0 / params.eB  # u = scale * z
-        if not math.isfinite(self.scale):
-            raise ValueError(f"eB = {params.eB} is too small: 2/eB overflows a float")
+        # derivative() scales the second-order term by a^2 = (1/eB)^2
+        if not math.isfinite(self.decay * self.decay):
+            raise ValueError(f"eB = {params.eB} is too small: (1/eB)^2 overflows a float")
 
     def _laguerre_derivative(self, order: int, u):
         """d^order/dz^order of L_n(u), which vanishes past degree n."""
@@ -161,9 +170,14 @@ class LandauEigenfunction:
 
 
 def eigenfunction(n: int, params: LandauParams) -> LandauEigenfunction:
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    _check_level(n)
     return LandauEigenfunction(n, params)
+
+
+def landau_amplitude(n: int, params: LandauParams, spec: GridSpec) -> Field:
+    """phi_n(z) sampled on a landau_grid, z from the grid's coordinates."""
+    phi_n = eigenfunction(n, params)
+    return Field(spec, phi_n(z_variable(*spec.meshgrid(), params)))
 
 
 def reduced_ode_apply(phi, params: LandauParams, z):
@@ -243,7 +257,7 @@ def temporal_factor_check(E: float, alpha: float, m: float) -> float:
 
 
 def full_operator_apply(phi: Field, params: LandauParams) -> Field:
-    """Apply the full 4D magnetic operator over axes (x, y, px, py).
+    """Apply the full 4D magnetic operator to a field on a landau_grid.
 
     The operator is the spatial block of the squared interacting Dirac
     operator, with the spin matrix already replaced by its scalar
@@ -297,7 +311,7 @@ class ReductionReport:
 
 
 def reduction_equivalence_check(
-    n: int, params: LandauParams, grid_spec
+    n: int, params: LandauParams, spec: GridSpec
 ) -> ReductionReport:
     """Compare full_operator_apply(phi_n(z)) with its reduced-route value.
 
@@ -309,34 +323,33 @@ def reduction_equivalence_check(
     4 points, excludes points near the (non-decaying) box boundary where
     wraparound pollutes derivatives.
     """
-    params = LandauParams(params.e, params.B, params.m, params.s, n)
+    row = spectrum(n, params)
+    expected = row.lambda2_oracle  # kappa - s eB
     # keep the compared region a fixed fraction of the box so that
     # refinement comparisons look at comparable interiors
-    interior_margin = max(4, min(grid_spec.shape) // 3)
-    phi_n = eigenfunction(n, params)
-    X, Y, PX, PY = grid_spec.meshgrid()
+    interior_margin = max(4, min(spec.shape) // 3)
+    # sampled inline, not by landau_amplitude: holding X..PY and z through
+    # full_operator_apply keeps grid-ops peak RSS at 148 MB, not 167-169 MB
+    X, Y, PX, PY = spec.meshgrid()
     zval = z_variable(X, Y, PX, PY, params)
-    phi = Field(grid_spec, phi_n(zval))
+    phi = Field(spec, eigenfunction(n, params)(zval))
     applied = full_operator_apply(phi, params)
-    expected = spectrum(params).lambda2_oracle  # kappa - s eB
 
     sl = tuple(
-        slice(interior_margin, size - interior_margin) for size in grid_spec.shape
+        slice(interior_margin, size - interior_margin) for size in spec.shape
     )
     inner_out = applied.values[sl]
     inner_phi = phi.values[sl]
     # normalize by the reduced-route magnitude kappa*|phi|, which is nonzero
     # even when the expected full-operator multiple kappa - s eB vanishes
-    scale = float(spectrum(params).kappa * np.max(np.abs(inner_phi)))
+    scale = float(row.kappa * np.max(np.abs(inner_phi)))
     rel = float(np.max(np.abs(inner_out - expected * inner_phi))) / scale
-    imag_frac = float(np.max(np.abs(applied.values[sl].imag))) / float(
-        np.max(np.abs(phi.values))
-    )
+    imag_frac = float(np.max(np.abs(inner_out.imag))) / phi.max_abs()
     return ReductionReport(
         n=n,
         s=params.s,
         eB=params.eB,
-        grid_shape=grid_spec.shape,
+        grid_shape=spec.shape,
         interior_margin=interior_margin,
         relative_difference=rel,
         imag_fraction=imag_frac,
@@ -344,17 +357,12 @@ def reduction_equivalence_check(
     )
 
 
-def wigner_landau(n: int, params: LandauParams, grid_spec):
-    """Wigner function of the n-th Landau state on a 4D (x, y, px, py) grid.
+def wigner_landau(amp: Field) -> Field:
+    """Wigner function of a Landau state from its landau_amplitude phi.
 
-    The amplitude phi is the eigenfunction composed with z. In the 4-spinor
-    with the negative-chirality structure (upper block chi, lower block
-    -chi) and the spin-s row selected, its nonzero components are +phi and
-    -phi, and both give the same grid star, so the Hermitian spinor sum is
-    2 phi (star) conj(phi) bit for bit.
+    In the 4-spinor with the negative-chirality structure (upper block chi,
+    lower block -chi) and the spin-s row selected, the nonzero components
+    are +phi and -phi, and both give the same grid star, so the Hermitian
+    spinor sum is 2 phi (star) conj(phi) bit for bit.
     """
-    params = LandauParams(params.e, params.B, params.m, params.s, n)
-    phi_n = eigenfunction(n, params)
-    X, Y, PX, PY = grid_spec.meshgrid()
-    amp = Field(grid_spec, phi_n(z_variable(X, Y, PX, PY, params)))
     return 2 * wigner_from_amplitude(amp)

@@ -32,6 +32,8 @@ from phaseq import (
     kg_two_route_check,
     kummer_m,
     kummer_u,
+    landau_amplitude,
+    landau_grid,
     monomial_basis,
     moyal_star,
     p_var,
@@ -45,7 +47,6 @@ from phaseq import (
     standard_gamma_rep,
     wigner_from_amplitude,
     wigner_landau,
-    z_variable,
 )
 from phaseq.dirac import (
     anticommutator,
@@ -192,7 +193,7 @@ def test_criterion_07_landau_spectrum():
     for n in range(11):
         for s in (1, -1):
             for eB in (0.5, 1.0, 2.0):
-                row = spectrum(LandauParams(e=1.0, B=eB, s=s, n=n))
+                row = spectrum(n, LandauParams(eB, s))
                 if row.k != 2 * n + 1:
                     bad += 1
                 if row.kappa != eB * (2 * n + 1):
@@ -214,7 +215,7 @@ def test_criterion_08_eigenfunction_residual_and_rayleigh():
     worst_res = 0.0
     worst_rq = 0.0
     for eB in (0.5, 1.0, 2.0):
-        params = LandauParams(e=1.0, B=eB)
+        params = LandauParams(eB)
         z = np.linspace(0.0, 30.0 * eB, 400)
         for n in range(6):
             phi = eigenfunction(n, params)
@@ -236,14 +237,11 @@ def test_criterion_08_eigenfunction_residual_and_rayleigh():
 
 
 def test_criterion_09_reduction_equivalence():
-    params = LandauParams(e=1.0, B=1.0, s=1)
+    params = LandauParams(eB=1.0, s=1)
     tol = {0: 1e-3, 1: 5e-3}
     results = {}
     for n_pts in (12, 16):
-        spec = GridSpec(
-            [Axis(name, n_pts, -1.7, 1.7) for name in ("x", "y", "px", "py")],
-            pairs=[(0, 2, -1), (1, 3, -1)],
-        )
+        spec = landau_grid(n_pts, 1.7)
         for n in (0, 1):
             results[(n_pts, n)] = reduction_equivalence_check(n, params, spec)
     ok = True
@@ -276,17 +274,11 @@ def test_criterion_10_wigner_properties():
     scalar_realness = float(np.max(np.abs(fw2.values.imag))) / fw2.max_abs()
 
     # n = 0 magnetic bound state on 12^4
-    spec4 = GridSpec(
-        [Axis(name, 12, -3.0, 3.0) for name in ("x", "y", "px", "py")],
-        pairs=[(0, 2, -1), (1, 3, -1)],
-    )
-    params = LandauParams(e=1.0, B=1.0, s=1)
-    fw4 = wigner_landau(0, params, spec4)
+    spec4 = landau_grid(12, 3.0)
+    amp4 = landau_amplitude(0, LandauParams(eB=1.0, s=1), spec4)
+    fw4 = wigner_landau(amp4)
     realness = float(np.max(np.abs(fw4.values.imag))) / fw4.max_abs()
-    X, Y, PX, PY = spec4.meshgrid()
-    amp4 = bandlimit(
-        Field(spec4, eigenfunction(0, params)(z_variable(X, Y, PX, PY, params)))
-    )
+    amp4 = bandlimit(amp4)
     norm2 = 2.0 * inner_product(amp4, amp4).real
     ones = Field(spec4, np.ones(spec4.shape))
     trace_err = abs(inner_product(ones, fw4).real - norm2) / norm2

@@ -295,7 +295,6 @@ def test_kg_check_exit_codes(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["wigner", "--out", "w", "--format", "json"],
         ["landau-eigen", "--n", "1", "--eB", "1e-320"],
         ["wigner", "--grid", "x:6:-3:3,y:6:-3:3,px:6:-3:3,py:6:-3:3"],
         ["landau-eigen", "--z-max", "0"],
@@ -308,6 +307,9 @@ def test_kg_check_exit_codes(tmp_path, capsys, monkeypatch):
         ["wigner", "--kind", "landau", "--grid", "q:8:-3:3,p:8:-3:3"],
         ["landau-spectrum", "--n", "0..1000000000"],
         ["landau-spectrum", "--n", "1000"],
+        ["landau-eigen", "--eB", "1e-300"],
+        ["landau-eigen", "--eB", "1e-200"],
+        ["landau-eigen", "--eB", "1e-160"],
     ],
 )
 def test_domain_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv):
@@ -317,6 +319,27 @@ def test_domain_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, a
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_wigner_format_json_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["wigner", "--out", "w", "--format", "json"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_landau_eigen_rayleigh_check_is_relative(tmp_path, capsys, monkeypatch):
+    # at eB = 1e-110 the Rayleigh quotient is off by half of kappa = 1e-110,
+    # which an absolute floor of 1e-7 would let pass
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "landau-eigen", "--eB", "1e-110")
+    assert code == 1
+    assert "pass=false" in err
+    code, _, err = run(capsys, "landau-eigen", "--n", "0", "--eB", "0.5")
+    assert code == 0
+    assert "pass=true" in err
 
 
 _MINIMAL_ARGS = {

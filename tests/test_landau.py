@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,11 +7,11 @@ import pytest
 from scipy.special import eval_laguerre
 
 from phaseq import (
-    Axis,
     Field,
-    GridSpec,
     LandauParams,
     eigenfunction,
+    landau_amplitude,
+    landau_grid,
     rayleigh_quotient,
     reduced_ode_apply,
     reduction_equivalence_check,
@@ -25,18 +26,38 @@ from oracles import exact_landau_polynomials, spinor_wigner_sum
 
 
 def test_params_validation():
+    assert [f.name for f in dataclasses.fields(LandauParams)] == ["eB", "s"]
     with pytest.raises(ValueError):
-        LandauParams(e=1.0, B=-1.0)
+        LandauParams(eB=-1.0)
     with pytest.raises(ValueError):
         LandauParams(s=0)
     with pytest.raises(ValueError):
-        LandauParams(n=-1)
-    assert LandauParams(e=2.0, B=0.5).eB == 1.0
+        spectrum(-1, LandauParams())
+    with pytest.raises(ValueError):
+        eigenfunction(-1, LandauParams())
+
+
+def test_landau_grid_layout():
+    spec = landau_grid(8, 2.5)
+    assert [(a.name, a.n, a.lo, a.hi) for a in spec.axes] == [
+        (name, 8, -2.5, 2.5) for name in ("x", "y", "px", "py")
+    ]
+    assert spec.pairs == ((0, 2, -1), (1, 3, -1))
+
+
+def test_landau_amplitude_samples_phi_of_z():
+    spec = landau_grid(8, 3.0)
+    params = LandauParams(eB=1.5, s=-1)
+    amp = landau_amplitude(2, params, spec)
+    X, Y, PX, PY = spec.meshgrid()
+    want = eigenfunction(2, params)(z_variable(X, Y, PX, PY, params))
+    assert amp.spec == spec
+    assert np.array_equal(amp.values, want.astype(complex))
 
 
 def test_z_variable_completed_square():
     rng = np.random.default_rng(3)
-    params = LandauParams(e=1.0, B=1.5)
+    params = LandauParams(eB=1.5)
     x, y, px, py = rng.normal(size=(4, 10))
     z = z_variable(x, y, px, py, params)
     eB = params.eB
@@ -48,7 +69,7 @@ def test_spectrum_rows():
     for n in range(11):
         for s in (1, -1):
             for eB in (0.5, 1.0, 2.0):
-                row = spectrum(LandauParams(e=1.0, B=eB, s=s, n=n))
+                row = spectrum(n, LandauParams(eB, s))
                 assert row.k == 2 * n + 1
                 assert row.kappa == eB * (2 * n + 1)
                 assert row.lambda2_paper == eB * (2 * n + 1 + s)
@@ -57,7 +78,7 @@ def test_spectrum_rows():
 
 
 def test_eigenfunction_values_and_derivatives():
-    params = LandauParams(e=1.0, B=2.0)
+    params = LandauParams(eB=2.0)
     phi = eigenfunction(3, params)
     z = np.linspace(0.0, 20.0, 50)
     eB = params.eB
@@ -74,7 +95,7 @@ def test_eigenfunction_matches_exact_oracle(n):
     # combination of L_n(2z/eB) and its z-derivatives, summed exactly from
     # the rational coefficients at rational z on [0, 30 eB]
     for eB in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        phi = eigenfunction(n, LandauParams(e=1.0, B=float(eB)))
+        phi = eigenfunction(n, LandauParams(float(eB)))
         a = 1 / eB
         zs = [j * eB / 2 for j in range(61)]
         exact = [[], [], []]
@@ -93,7 +114,7 @@ def test_eigenfunction_matches_exact_oracle(n):
 
 def test_eigenfunction_norm_exact():
     for eB in (0.5, 1.0, 3.0):
-        params = LandauParams(e=1.0, B=eB)
+        params = LandauParams(eB)
         for n in range(4):
             phi = eigenfunction(n, params)
             assert phi.norm_squared() == eB / 2.0
@@ -106,7 +127,7 @@ def test_eigenfunction_norm_exact():
 
 def test_reduced_ode_eigen_residual():
     for eB in (0.5, 1.0, 2.0):
-        params = LandauParams(e=1.0, B=eB)
+        params = LandauParams(eB)
         for n in range(6):
             phi = eigenfunction(n, params)
             z = np.linspace(0.0, 30.0 * eB, 400)
@@ -116,7 +137,7 @@ def test_reduced_ode_eigen_residual():
 
 
 def test_reduced_ode_callable_and_array_paths():
-    params = LandauParams(e=1.0, B=1.0)
+    params = LandauParams(eB=1.0)
     phi = eigenfunction(1, params)
     z = np.linspace(0.0, 10.0, 801)
     analytic = reduced_ode_apply(phi, params, z)
@@ -128,7 +149,7 @@ def test_reduced_ode_callable_and_array_paths():
 
 def test_rayleigh_quotient_matches_eigenvalue():
     for eB in (0.5, 1.0, 2.0):
-        params = LandauParams(e=1.0, B=eB)
+        params = LandauParams(eB)
         for n in range(6):
             phi = eigenfunction(n, params)
             kappa = eB * (2 * n + 1)
@@ -136,7 +157,7 @@ def test_rayleigh_quotient_matches_eigenvalue():
 
 
 def test_rayleigh_quotient_perturbation_insensitive():
-    params = LandauParams(e=1.0, B=1.0)
+    params = LandauParams(eB=1.0)
     phi0 = eigenfunction(0, params)
     phi1 = eigenfunction(1, params)
     mixed = lambda z: phi0(z) + 0.01 * phi1(z)
@@ -153,24 +174,16 @@ def test_temporal_factor_two_routes():
 
 
 def test_reduction_equivalence_small_grid():
-    spec = GridSpec(
-        [Axis(name, 12, -1.7, 1.7) for name in ("x", "y", "px", "py")],
-        pairs=[(0, 2, -1), (1, 3, -1)],
-    )
-    params = LandauParams(e=1.0, B=1.0, s=1)
-    report = reduction_equivalence_check(0, params, spec)
+    params = LandauParams(eB=1.0, s=1)
+    report = reduction_equivalence_check(0, params, landau_grid(12, 1.7))
     assert report.expected_value == 0.0
     assert report.relative_difference < 1e-2
     assert report.imag_fraction < 1e-3
 
 
 def test_wigner_landau_real_small_grid():
-    spec = GridSpec(
-        [Axis(name, 8, -3.0, 3.0) for name in ("x", "y", "px", "py")],
-        pairs=[(0, 2, -1), (1, 3, -1)],
-    )
-    params = LandauParams(e=1.0, B=1.0, s=1)
-    fw = wigner_landau(0, params, spec)
+    amp = landau_amplitude(0, LandauParams(eB=1.0, s=1), landau_grid(8, 3.0))
+    fw = wigner_landau(amp)
     assert np.max(np.abs(fw.values.imag)) < 1e-10 * fw.max_abs()
 
 
@@ -180,13 +193,9 @@ def test_wigner_landau_real_small_grid():
 def test_wigner_landau_equals_spinor_sum(n, s, points):
     # one grid star, doubled, is bit-identical to the spinor sum over the
     # components (+phi, -phi) in the spin-s rows
-    spec = GridSpec(
-        [Axis(name, points, -3.0, 3.0) for name in ("x", "y", "px", "py")],
-        pairs=[(0, 2, -1), (1, 3, -1)],
-    )
-    params = LandauParams(e=1.0, B=1.0, s=s, n=n)
-    amp = Field(spec, eigenfunction(n, params)(z_variable(*spec.meshgrid(), params)))
+    spec = landau_grid(points, 3.0)
+    amp = landau_amplitude(n, LandauParams(eB=1.0, s=s), spec)
     zero = Field.zeros(spec)
     spinor = [amp, zero, -1 * amp, zero] if s == 1 else [zero, amp, zero, -1 * amp]
-    fw = wigner_landau(n, params, spec)
+    fw = wigner_landau(amp)
     assert np.array_equal(fw.values, spinor_wigner_sum(spinor).values)
