@@ -2,8 +2,10 @@
 
 Provides Fourier and finite-difference derivatives, L2 inner products,
 a numerical star product that is exact for band-limited fields (the
-twisted convolution in the mixed q-Fourier/p representation, at
-O(N_q N log N) for N grid points and N_q modes on the q axes),
+twisted convolution in the mixed q-Fourier/p representation: two
+p-transform passes per q-mode of one factor, summed in q-Fourier space
+with a q-mode shift, then one inverse q transform, at O(N_q N log N)
+for N grid points and N_q modes on the q axes),
 the Wigner function of a scalar amplitude (one grid star; a spinor's is
 a sum of these), and a two-route grid check of the phase-space
 Klein-Gordon operator.
@@ -278,10 +280,13 @@ def grid_star(f: Field, g: Field) -> Field:
         h(q, p) = sum_{a,c} exp(i(a+c)(q-lo)) f_a(p + sigma c/2) g_c(p - sigma a/2),
 
     where both p translations are pure phases in p-Fourier space, so the
-    result is exact for band-limited fields. It makes one O(N log N) pass
-    per q-mode c of g, O(N_q N log N) in all for N grid points and N_q
-    q-modes. An axis in no pair is never transformed, so the product is
-    plain along it.
+    result is exact for band-limited fields. For each q-mode c of g it
+    makes two O(N log N) p-transform passes, one for each factor; their
+    product, still indexed by the q-mode a of f, is shifted to the output
+    q-mode a + c and summed, and one inverse q transform closes the sum.
+    That is O(N_q N log N) in all for N grid points and N_q q-modes. An
+    axis in no pair is never transformed, so the product is plain along
+    it.
     """
     f._check(g)
     spec = f.spec
@@ -295,27 +300,25 @@ def grid_star(f: Field, g: Field) -> Field:
         shape[axis] = values.size
         return values.reshape(shape)
 
-    # per-axis wavenumbers and offsets x - lo, broadcastable over the grid
+    # per-axis wavenumbers, broadcastable over the grid
     k = [along(axis, ax.wavenumbers()) for axis, ax in enumerate(spec.axes)]
-    x = [along(axis, ax.spacing * np.arange(ax.n)) for axis, ax in enumerate(spec.axes)]
 
     fhat = np.fft.fftn(bandlimit(f).values, axes=q_axes + p_axes)
     ghat = np.fft.fftn(bandlimit(g).values, axes=q_axes + p_axes)
-    # shifts g_c by -sigma a/2 along p for every output q-mode a
+    # shifts g_c by -sigma a/2 along p for every q-mode a of f
     twist = np.exp(-0.5j * sum(s * k[qi] * k[pi] for qi, pi, s in spec.pairs))
-    out = np.zeros(spec.shape, dtype=np.complex128)
+    acc = np.zeros(spec.shape, dtype=np.complex128)
     for c in np.ndindex(*q_shape):
         pick = [slice(None)] * ndim
-        shift = wave = 0.0
+        shift = 0.0
         for (qi, pi, s), ci in zip(spec.pairs, c):
             pick[qi] = slice(ci, ci + 1)
-            kappa = k[qi].flat[ci]
-            shift = shift + s * kappa * k[pi]
-            wave = wave + kappa * x[qi]
+            shift = shift + s * k[qi].flat[ci] * k[pi]
         fs = np.fft.ifftn(fhat * np.exp(0.5j * shift), axes=p_axes)
         gs = np.fft.ifftn(ghat[tuple(pick)] * twist, axes=p_axes)
-        out += np.exp(1j * wave) * np.fft.ifftn(fs * gs, axes=q_axes)
-    return Field(spec, out / np.prod(q_shape))
+        # exp(i kappa_c (q - lo)) moves q-mode a to a + c on the grid
+        acc += np.roll(fs * gs, c, axis=q_axes)
+    return Field(spec, np.fft.ifftn(acc, axes=q_axes) / np.prod(q_shape))
 
 
 def wigner_from_amplitude(psi: Field) -> Field:

@@ -46,8 +46,8 @@ class LandauParams:
     s: int = 1
 
     def __post_init__(self):
-        if self.eB <= 0:
-            raise ValueError("bound levels require e*B > 0")
+        if not (math.isfinite(self.eB) and self.eB > 0):
+            raise ValueError("bound levels require a finite e*B > 0")
         if self.s not in (1, -1):
             raise ValueError("s must be +1 or -1")
 
@@ -132,9 +132,9 @@ class LandauEigenfunction:
         self.params = params
         self.decay = 1.0 / params.eB  # a in e^{-a z}
         self.scale = 2.0 / params.eB  # u = scale * z
-        # derivative() scales the second-order term by a^2 = (1/eB)^2
-        if not math.isfinite(self.decay * self.decay):
-            raise ValueError(f"eB = {params.eB} is too small: (1/eB)^2 overflows a float")
+        # the second derivative of L_n(u) carries scale^2 = (2/eB)^2
+        if not math.isfinite(self.scale * self.scale):
+            raise ValueError(f"eB = {params.eB} is too small: (2/eB)^2 overflows a float")
 
     def _laguerre_derivative(self, order: int, u):
         """d^order/dz^order of L_n(u), which vanishes past degree n."""

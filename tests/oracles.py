@@ -3,7 +3,10 @@
 Everything here is derived from first principles with a different method
 than the code under test: closed-form Gaussian moment integrals and brute
 numerical quadrature for the star product, the mode-shift grid star
-product that the mixed-representation algorithm replaces, the
+product that the mixed-representation algorithm replaces,
+three_pass_grid_star, the same mixed-representation star with one inverse
+q transform and plane wave per q-mode, which the q-Fourier accumulation
+replaces, the
 derivative-multi-index walk that the per-pair closed-form Moyal star
 replaces, direct numeric evaluation for the exact polynomial algebra,
 Bopp shifts in derivative form as the operator route that the
@@ -36,6 +39,7 @@ from phaseq import (
     Field,
     MetricSignature,
     PhasePolynomial,
+    bandlimit,
     grid_star,
 )
 from phaseq.parsing import _ALIASES, MAX_EXPONENT, ParseError, _Tokenizer
@@ -172,6 +176,60 @@ def mode_shift_star(f, g):
         shifted = np.fft.ifftn(fhat * np.exp(1j * phase))
         out += ghat[idx] * np.exp(1j * wave) * shifted
     return Field(spec, out)
+
+
+def three_pass_grid_star(f: Field, g: Field) -> Field:
+    """Numerical star product in the mixed representation, three passes per mode.
+
+    Both factors are band-limited, then Fourier-transformed along every
+    paired axis. With f_a(p) and g_c(p) the q-mode coefficients of the two
+    factors, a pair (q, p, sigma) gives the twisted convolution
+
+        h(q, p) = sum_{a,c} exp(i(a+c)(q-lo)) f_a(p + sigma c/2) g_c(p - sigma a/2),
+
+    where both p translations are pure phases in p-Fourier space, so the
+    result is exact for band-limited fields. For each q-mode c of g it
+    makes three full O(N log N) passes: the p transforms of both shifted
+    factors and an inverse q transform of their product, which is then
+    multiplied by exp(i kappa_c (q - lo)) and summed. That is O(N_q N log N)
+    in all for N grid points and N_q q-modes. An axis in no pair is never
+    transformed, so the product is plain along it. grid_star replaces the
+    per-mode inverse q transform and plane wave by a q-mode shift and one
+    inverse q transform at the end.
+    """
+    f._check(g)
+    spec = f.spec
+    ndim = len(spec.axes)
+    q_axes = tuple(qi for qi, _, _ in spec.pairs)
+    p_axes = tuple(pi for _, pi, _ in spec.pairs)
+    q_shape = tuple(spec.axes[qi].n for qi in q_axes)
+
+    def along(axis, values):
+        shape = [1] * ndim
+        shape[axis] = values.size
+        return values.reshape(shape)
+
+    # per-axis wavenumbers and offsets x - lo, broadcastable over the grid
+    k = [along(axis, ax.wavenumbers()) for axis, ax in enumerate(spec.axes)]
+    x = [along(axis, ax.spacing * np.arange(ax.n)) for axis, ax in enumerate(spec.axes)]
+
+    fhat = np.fft.fftn(bandlimit(f).values, axes=q_axes + p_axes)
+    ghat = np.fft.fftn(bandlimit(g).values, axes=q_axes + p_axes)
+    # shifts g_c by -sigma a/2 along p for every output q-mode a
+    twist = np.exp(-0.5j * sum(s * k[qi] * k[pi] for qi, pi, s in spec.pairs))
+    out = np.zeros(spec.shape, dtype=np.complex128)
+    for c in np.ndindex(*q_shape):
+        pick = [slice(None)] * ndim
+        shift = wave = 0.0
+        for (qi, pi, s), ci in zip(spec.pairs, c):
+            pick[qi] = slice(ci, ci + 1)
+            kappa = k[qi].flat[ci]
+            shift = shift + s * kappa * k[pi]
+            wave = wave + kappa * x[qi]
+        fs = np.fft.ifftn(fhat * np.exp(0.5j * shift), axes=p_axes)
+        gs = np.fft.ifftn(ghat[tuple(pick)] * twist, axes=p_axes)
+        out += np.exp(1j * wave) * np.fft.ifftn(fs * gs, axes=q_axes)
+    return Field(spec, out / np.prod(q_shape))
 
 
 def spinor_wigner_sum(psi):

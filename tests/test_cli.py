@@ -310,6 +310,10 @@ def test_kg_check_exit_codes(tmp_path, capsys, monkeypatch):
         ["landau-eigen", "--eB", "1e-300"],
         ["landau-eigen", "--eB", "1e-200"],
         ["landau-eigen", "--eB", "1e-160"],
+        ["landau-spectrum", "--eB", "nan"],
+        ["landau-spectrum", "--eB", "inf"],
+        ["wigner", "--kind", "landau", "--eB", "nan"],
+        ["landau-eigen", "--eB", "1e-154", "--n", "5"],
     ],
 )
 def test_domain_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv):

@@ -18,7 +18,13 @@ from phaseq import (
     write_field_csv,
 )
 
-from oracles import gaussian_qp_star, mode_shift_star, quadrature_star, spinor_wigner_sum
+from oracles import (
+    gaussian_qp_star,
+    mode_shift_star,
+    quadrature_star,
+    spinor_wigner_sum,
+    three_pass_grid_star,
+)
 
 
 def qp_spec(n=64, half=8.0):
@@ -137,24 +143,24 @@ def test_grid_star_unpaired_axis_is_plain_product():
         assert np.max(np.abs(out.values[:, :, k] - want.values)) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "sizes, pairs",
-    [
-        ([16, 16], [(0, 1, 1)]),
-        ([15, 13], [(0, 1, 1)]),
-        ([16, 12], [(0, 1, -1)]),
-        ([12, 16], [(1, 0, 1)]),
-        ([5, 12, 12], [(1, 2, 1)]),
-        ([12, 11, 4], [(0, 1, -1)]),
-        ([10, 9], []),
-        ([8, 8, 8, 8], [(0, 2, -1), (1, 3, -1)]),
-        ([8, 7, 6, 8], [(3, 0, 1), (1, 2, -1)]),
-    ],
-    ids=[
-        "even", "odd", "sign-minus", "p-before-q", "unpaired-first",
-        "unpaired-last", "no-pairs", "landau-4d", "crossed-4d",
-    ],
-)
+GRID_STAR_CASES = [
+    ([16, 16], [(0, 1, 1)]),
+    ([15, 13], [(0, 1, 1)]),
+    ([16, 12], [(0, 1, -1)]),
+    ([12, 16], [(1, 0, 1)]),
+    ([5, 12, 12], [(1, 2, 1)]),
+    ([12, 11, 4], [(0, 1, -1)]),
+    ([10, 9], []),
+    ([8, 8, 8, 8], [(0, 2, -1), (1, 3, -1)]),
+    ([8, 7, 6, 8], [(3, 0, 1), (1, 2, -1)]),
+]
+GRID_STAR_IDS = [
+    "even", "odd", "sign-minus", "p-before-q", "unpaired-first",
+    "unpaired-last", "no-pairs", "landau-4d", "crossed-4d",
+]
+
+
+@pytest.mark.parametrize("sizes, pairs", GRID_STAR_CASES, ids=GRID_STAR_IDS)
 def test_grid_star_matches_mode_shift_oracle(sizes, pairs):
     spec = GridSpec(
         [Axis(f"a{i}", n, -2.0 - i, 3.0 + 0.5 * i) for i, n in enumerate(sizes)],
@@ -168,6 +174,26 @@ def test_grid_star_matches_mode_shift_oracle(sizes, pairs):
     want = mode_shift_star(f, g).values
     got = grid_star(f, g).values
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "sizes, pairs",
+    GRID_STAR_CASES + [([128, 128], [(0, 1, 1)])],
+    ids=GRID_STAR_IDS + ["random-128"],
+)
+def test_grid_star_matches_three_pass_oracle(sizes, pairs):
+    spec = GridSpec(
+        [Axis(f"a{i}", n, -2.0 - i, 3.0 + 0.5 * i) for i, n in enumerate(sizes)],
+        pairs=pairs,
+    )
+    rng = np.random.default_rng(1)
+    f, g = (
+        Field(spec, rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape))
+        for _ in range(2)
+    )
+    want = three_pass_grid_star(f, g).values
+    got = grid_star(f, g).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_gaussian_idempotence():

@@ -35,6 +35,12 @@ def test_params_validation():
         spectrum(-1, LandauParams())
     with pytest.raises(ValueError):
         eigenfunction(-1, LandauParams())
+    for eB in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LandauParams(eB=eB)
+    # (2/eB)^2 overflows at eB = 1e-154 although (1/eB)^2 does not
+    with pytest.raises(ValueError, match=r"\(2/eB\)\^2"):
+        eigenfunction(5, LandauParams(eB=1e-154))
 
 
 def test_landau_grid_layout():

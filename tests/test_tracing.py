@@ -3,20 +3,30 @@
 ``perfbench/tracer.py`` resolves its traced functions and methods by name
 when it installs, so renaming a traced function or moving a traced method
 out of its class breaks tracing. This test catches that in the ordinary
-suite rather than only in a traced benchmark run.
+suite rather than only in a traced benchmark run. The tracer counts the
+grid layer's transforms only where they go through ``numpy.fft``, so a
+second test pins the transforms one grid star makes.
 """
 
 from pathlib import Path
 
+import numpy as np
+
 import phaseq
 import phaseq.cli  # noqa: F401  (the tracer wraps cli.main)
+from phaseq import LandauParams, landau_amplitude, landau_grid
 from phaseq.algebra import PhasePolynomial
 
 
-def test_tracer_installs_and_uninstalls(monkeypatch):
+def load_tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import tracer
 
+    return tracer
+
+
+def test_tracer_installs_and_uninstalls(monkeypatch):
+    tracer = load_tracer(monkeypatch)
     original_star = phaseq.moyal_star
     original_mul = PhasePolynomial.__dict__["__mul__"]
     t = tracer.Tracer()
@@ -29,3 +39,24 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert phaseq.moyal_star is original_star
     assert phaseq.star.moyal_star is original_star
     assert PhasePolynomial.__dict__["__mul__"] is original_mul
+
+
+def test_grid_star_transforms_go_through_numpy_fft(monkeypatch):
+    tracer = load_tracer(monkeypatch)
+    spec = landau_grid(8, 3.0)
+    amp = landau_amplitude(1, LandauParams(), spec)
+    t = tracer.Tracer()
+    try:
+        t.install()
+        phaseq.grid_star(amp, amp.conjugate())
+    finally:
+        t.uninstall()
+    n_q = int(np.prod([spec.axes[qi].n for qi, _, _ in spec.pairs]))
+    # per q-mode: the p transforms of both factors; then one inverse q
+    # transform; plus fftn and ifftn in each bandlimit and the two forward
+    # transforms
+    calls = 2 * n_q + 1 + 2 * 2 + 2
+    assert t.calls["grids.grid_star"] == 1
+    assert t.calls["grids.bandlimit"] == 2
+    assert t.calls["fft"] == calls
+    assert t.counts["fft.points"] == calls * spec.total_points
