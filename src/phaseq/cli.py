@@ -293,11 +293,17 @@ def _cmd_landau_eigen(args):
     params = LandauParams(args.eB, args.s)
     phi = eigenfunction(args.n, params)
     z = np.linspace(0.0, args.z_max, args.points)
-    vals = phi(z)
     kappa = spectrum(args.n, params).kappa
-    residual = reduced_ode_apply(phi, params, z) - kappa * vals
+    with np.errstate(all="ignore"):
+        vals = phi(z)
+        residual = reduced_ode_apply(phi, params, z) - kappa * vals
+        rq = rayleigh_quotient(phi, params)
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(residual)) and np.isfinite(rq)):
+        raise ValueError(
+            f"the eigenfunction table for n = {args.n} at eB = {_fmt(args.eB)} "
+            "is not finite in float arithmetic; use a larger --eB"
+        )
     rel_res = float(np.max(np.abs(residual))) / float(np.max(np.abs(vals)))
-    rq = rayleigh_quotient(phi, params)
     passed = rel_res <= args.tol and abs(rq - kappa) <= 1e-7 * kappa
     rows = ["z,phi,ode_residual"]
     for zi, vi, ri in zip(z, vals, residual):
@@ -571,9 +577,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(parser, argv):
+    """Join a `-`-leading token to the value-taking option before it.
+
+    argparse reads the `-5:-1:3` of `--x -5:-1:3` as another option; this
+    passes `--x=-5:-1:3` instead. `-h`, `--help` and `--version` stay
+    options.
+    """
+    commands = next(
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    takes_value = set()
+    joined = []
+    for token in argv:
+        if (
+            joined
+            and joined[-1] in takes_value
+            and token.startswith("-")
+            and token not in ("-h", "--help", "--version")
+        ):
+            joined[-1] += "=" + token
+            continue
+        if not takes_value and token in commands:
+            takes_value = {
+                option
+                for a in commands[token]._actions
+                if a.nargs != 0
+                for option in a.option_strings
+            }
+        joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_dash_values(parser, argv))
     start = time.perf_counter()
     try:
         code, params, outputs = args.handler(args)

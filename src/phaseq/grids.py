@@ -393,21 +393,24 @@ def kg_two_route_check(
 
 
 def write_field_csv(f: Field, path):
-    """One row per grid point: axis coordinates, then re and im."""
-    coords = f.spec.meshgrid()
+    """One row per grid point: axis coordinates, then re and im.
+
+    Each axis's coordinates are formatted once; the rows of one point of
+    the first axis are written with a single ``%`` format.
+    """
+    labels = [["%.17g" % x for x in ax.points().tolist()] for ax in f.spec.axes]
+    tails = [""]
+    for axis in reversed(labels[1:]):
+        tails = [x + "," + t for x in axis for t in tails]
+    values = f.values.reshape(len(labels[0]), -1)
+    args = [None] * (3 * len(tails))
+    args[0::3] = tails
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([ax.name for ax in f.spec.axes] + ["re", "im"])
-        flat = [c.ravel() for c in coords]
-        values = f.values.ravel()
-        for row in range(values.size):
-            writer.writerow(
-                [format(float(c[row]), ".17g") for c in flat]
-                + [
-                    format(float(values[row].real), ".17g"),
-                    format(float(values[row].imag), ".17g"),
-                ]
-            )
+        csv.writer(fh).writerow([ax.name for ax in f.spec.axes] + ["re", "im"])
+        for head, block in zip(labels[0], values):
+            args[1::3] = block.real.tolist()
+            args[2::3] = block.imag.tolist()
+            fh.write((head + ",%s%.17g,%.17g\r\n") * len(tails) % tuple(args))
 
 
 def write_field_binary(f: Field, path):

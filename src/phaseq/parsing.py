@@ -25,12 +25,14 @@ output always re-parses to the same polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .algebra import _ZERO_KEY, CR_I, CR_ONE, CR_ZERO, ComplexRational, PhasePolynomial
 
 __all__ = ["ParseError", "parse_expression", "format_polynomial"]
 
 MAX_EXPONENT = 64
+MAX_POWER_TERMS = 1000
 
 _ALIASES = {"x": ("q", 1), "y": ("q", 2), "px": ("p", 1), "py": ("p", 2)}
 _VAR_NAMES = ["q0", "q1", "q2", "q3", "p0", "p1", "p2", "p3"]
@@ -195,6 +197,15 @@ class _Parser:
             exponent = int(value)
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent {exponent} exceeds limit {MAX_EXPONENT}", pos)
+            if isinstance(atom, dict) and len(atom) > 1:
+                # a t-term group to the k has at most C(t+k-1, k) terms
+                bound = comb(len(atom) + exponent - 1, exponent)
+                if bound > MAX_POWER_TERMS:
+                    raise ParseError(
+                        f"a group of {len(atom)} terms to the power {exponent} can have "
+                        f"{bound} terms, more than the limit {MAX_POWER_TERMS}",
+                        pos,
+                    )
         if isinstance(atom, int):
             term.exps[atom] += exponent
         elif isinstance(atom, ComplexRational):

@@ -23,8 +23,12 @@ Hermitian spinor Wigner sum that wigner_landau's single grid star replaces,
 and laguerre_coefficients gives the exact rational power-basis
 coefficients of L_n, evaluated in Fraction arithmetic, against which the
 generalized-Laguerre recurrence of the Landau eigenfunctions is checked.
+row_by_row_field_csv is the CSV field dump written one csv.writer row and
+six format calls per grid point, which write_field_csv's per-axis
+formatting and one %-format per block of rows replaces.
 """
 
+import csv
 import random
 from fractions import Fraction
 from itertools import product
@@ -608,3 +612,21 @@ def polynomial_product_parse(text: str, dims: int = 4) -> PhasePolynomial:
     """Parse ``text`` by multiplying and adding PhasePolynomial values, using
     the package's scanner; ``parse_expression`` must give the same result."""
     return _ProductParser(text, dims).parse()
+
+
+def row_by_row_field_csv(f: Field, path):
+    """One row per grid point: axis coordinates, then re and im."""
+    coords = f.spec.meshgrid()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([ax.name for ax in f.spec.axes] + ["re", "im"])
+        flat = [c.ravel() for c in coords]
+        values = f.values.ravel()
+        for row in range(values.size):
+            writer.writerow(
+                [format(float(c[row]), ".17g") for c in flat]
+                + [
+                    format(float(values[row].real), ".17g"),
+                    format(float(values[row].imag), ".17g"),
+                ]
+            )

@@ -314,6 +314,9 @@ def test_kg_check_exit_codes(tmp_path, capsys, monkeypatch):
         ["landau-spectrum", "--eB", "inf"],
         ["wigner", "--kind", "landau", "--eB", "nan"],
         ["landau-eigen", "--eB", "1e-154", "--n", "5"],
+        ["landau-eigen", "--eB", "1e-110", "--n", "1"],
+        ["landau-eigen", "--eB", "1.5e-154", "--n", "5"],
+        ["landau-eigen", "--eB", "1e-140", "--n", "999"],
     ],
 )
 def test_domain_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv):
@@ -323,6 +326,42 @@ def test_domain_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, a
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def run_or_exit(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "head, option, value",
+    [
+        (["specfun-eval", "--function", "kummer-m", "--a", "1e6", "--b", "1"], "--x", "-5:-1:3"),
+        (["specfun-eval", "--function", "kummer-m", "--b", "1", "--x", "0:1:2"], "--a", "-1e9"),
+        (["specfun-eval", "--function", "laguerre", "--n", "2"], "--x", "-2:0:3"),
+        (["star", "--expr1", "q1", "--expr2", "p1"], "--metric", "-+++"),
+        (["star", "--expr1", "q1"], "--expr2", "-p1"),
+    ],
+)
+def test_dash_value_space_form_matches_equals_form(tmp_path, capsys, monkeypatch, head, option, value):
+    monkeypatch.chdir(tmp_path)
+    spaced = run_or_exit(capsys, [*head, option, value])
+    joined = run_or_exit(capsys, [*head, f"{option}={value}"])
+    assert spaced == joined
+    assert "expected one argument" not in spaced[2]
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help", "--version"])
+def test_help_and_version_are_never_option_values(tmp_path, capsys, monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_or_exit(capsys, ["star", "--expr1", flag, "--expr2", "p0"])
+    assert code == 2
+    assert out == ""
+    assert "argument --expr1: expected one argument" in err
 
 
 def test_wigner_format_json_is_a_usage_error(tmp_path, capsys, monkeypatch):

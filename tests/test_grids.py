@@ -18,10 +18,13 @@ from phaseq import (
     write_field_csv,
 )
 
+from phaseq.landau import LandauParams, landau_amplitude, landau_grid
+
 from oracles import (
     gaussian_qp_star,
     mode_shift_star,
     quadrature_star,
+    row_by_row_field_csv,
     spinor_wigner_sum,
     three_pass_grid_star,
 )
@@ -283,6 +286,47 @@ def test_csv_header_and_precision(tmp_path):
     assert len(lines) == 1 + 16
     value = float(lines[1].split(",")[2])
     assert value == f.values[0, 0].real
+
+
+_SPECIAL_VALUES = np.array([-0.0, 1e-310, 1e300, -1e300, 0.1])
+
+
+def _csv_fields():
+    rng = np.random.default_rng(5)
+
+    def noisy(spec):
+        values = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+        flat = values.ravel()
+        flat[: _SPECIAL_VALUES.size] = _SPECIAL_VALUES + 1j * _SPECIAL_VALUES[::-1]
+        return Field(spec, values)
+
+    odd_three = GridSpec(
+        [Axis("q", 7, -1.3, 2.9), Axis("t", 5, 0.1, 0.7), Axis("p", 6, -3.0, -0.2)],
+        pairs=[(0, 2, -1)],
+    )
+    gaussian = Field.from_function(
+        qp_spec(8, 2.5), lambda q, p: np.exp(-(q * q + p * p) + 0.3j * q)
+    )
+    landau_spec = landau_grid(6, 2.0)
+    return {
+        "paired-2d-even": noisy(qp_spec(8, 1.0)),
+        "paired-2d-odd": noisy(
+            GridSpec([Axis("q", 5, -0.7, 1.1), Axis("p", 9, -2.2, -0.3)])
+        ),
+        "one-pair-3d-odd": noisy(odd_three),
+        "landau-4d": landau_amplitude(1, LandauParams(eB=1.0), landau_spec),
+        "landau-4d-noise": noisy(landau_grid(5, 1.7)),
+        "wigner": wigner_from_amplitude(gaussian),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_csv_fields()))
+def test_csv_bytes_match_row_by_row_oracle(tmp_path, name):
+    f = _csv_fields()[name]
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    write_field_csv(f, fast)
+    row_by_row_field_csv(f, slow)
+    assert fast.read_bytes() == slow.read_bytes()
 
 
 def test_norm_positive():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,23 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as err:
         parse_expression("q0 + @")
     assert err.value.pos == 5
+
+
+def test_group_power_bounded_before_expanding():
+    # (8 terms)^8 can have C(15, 8) = 6435 terms; refused before any product
+    text = "(q0+q1+q2+q3+p0+p1+p2+p3)^8"
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="6435 terms, more than the limit 1000") as err:
+        parse_expression(text)
+    assert time.perf_counter() - start < 0.1
+    assert err.value.pos == len(text) - 1
+    # C(11, 4) = 330 terms stays within the limit and expands in full
+    assert len(parse_expression("(q0+q1+q2+q3+p0+p1+p2+p3)^4").terms) == 330
+    # a two-term group reaches MAX_EXPONENT: C(65, 64) = 65 terms
+    assert len(parse_expression("(q0+p0)^64").terms) == 65
+    # groups of zero or one term are not expanded, so any power parses
+    assert parse_expression("(q0-q0)^0") == parse_expression("1")
+    assert parse_expression("(2*q0)^64") == parse_expression("2^64*q0^64")
 
 
 @pytest.mark.parametrize("text, pos", [("q0^\u00b2", 3), ("\u00b2", 0), ("q\u00b2", 0)])
