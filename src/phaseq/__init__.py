@@ -46,7 +46,6 @@ from .grids import (
     grid_star,
     inner_product,
     kg_two_route_check,
-    norm,
     read_field_binary,
     wigner_from_amplitude,
     write_field_binary,

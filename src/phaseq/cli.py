@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -54,15 +55,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    """The two ends of 'a..b' (inclusive), or of a single integer."""
+def _parse_range(text: str) -> range:
+    """The levels of 'a..b' (inclusive), or of a single integer."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
         if hi < lo:
             raise argparse.ArgumentTypeError(f"empty range {text!r}")
-        return lo, hi
-    return int(text), int(text)
+        return range(lo, hi + 1)
+    return range(int(text), int(text) + 1)
 
 
 def _parse_spin(text: str) -> int:
@@ -86,9 +87,16 @@ def _parse_grid(text: str) -> GridSpec:
     return GridSpec(axes)
 
 
-def _write_manifest(args, command: str, params: dict, outputs, passed, wall_ms):
+def _write_manifest(args, outputs, passed, wall_ms):
+    """The manifest records every option the subcommand took as its params,
+    apart from where the outputs go and the metric, which has its own key."""
+    params = {
+        k: v
+        for k, v in vars(args).items()
+        if k not in ("command", "handler", "out", "manifest", "metric_label")
+    }
     manifest = {
-        "command": command,
+        "command": args.command,
         "params": params,
         "version": __version__,
         "metric": getattr(args, "metric_label", "+---"),
@@ -96,19 +104,19 @@ def _write_manifest(args, command: str, params: dict, outputs, passed, wall_ms):
         "pass": bool(passed),
         "wall_ms": round(wall_ms, 3),
     }
-    path = getattr(args, "manifest", None)
+    path = args.manifest
     if path is None:
-        path = (args.out + ".manifest.json") if getattr(args, "out", None) else (
-            command + "-manifest.json"
+        path = (args.out + ".manifest.json") if args.out else (
+            args.command + "-manifest.json"
         )
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        # a level range is written as its list of levels
+        json.dump(manifest, fh, indent=2, sort_keys=True, default=list)
         fh.write("\n")
-    return path
 
 
 def _emit(args, text: str):
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
         return [args.out]
@@ -116,7 +124,12 @@ def _emit(args, text: str):
     return []
 
 
+def _emit_json(args, doc):
+    return _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 # -- subcommand handlers ----------------------------------------------------
+# Each returns (passed, outputs); main records the parsed options.
 
 
 def _cmd_star(args):
@@ -124,8 +137,7 @@ def _cmd_star(args):
     f = parse_expression(args.expr1)
     g = parse_expression(args.expr2)
     result = moyal_star(f, g, metric)
-    outputs = _emit(args, str(result) + "\n")
-    return 0, {"expr1": args.expr1, "expr2": args.expr2}, outputs
+    return True, _emit(args, str(result) + "\n")
 
 
 def _cmd_bracket(args):
@@ -133,23 +145,19 @@ def _cmd_bracket(args):
     f = parse_expression(args.expr1)
     g = parse_expression(args.expr2)
     result = moyal_star(f, g, metric) - moyal_star(g, f, metric)
-    outputs = _emit(args, str(result) + "\n")
-    return 0, {"expr1": args.expr1, "expr2": args.expr2}, outputs
+    return True, _emit(args, str(result) + "\n")
 
 
 def _cmd_algebra_check(args):
     metric = _METRICS[args.metric_label]
     report = check_poincare_algebra(args.degree, metric)
-    outputs = _emit(args, report.to_json(indent=2, sort_keys=True) + "\n")
-    return (0 if report.passed else 1), {"degree": args.degree}, outputs
+    return report.passed, _emit_json(args, report.to_dict())
 
 
 def _cmd_casimir_check(args):
     metric = _METRICS[args.metric_label]
     report = check_casimirs(args.degree_p2, args.degree_w2, metric)
-    outputs = _emit(args, report.to_json(indent=2, sort_keys=True) + "\n")
-    params = {"degree_p2": args.degree_p2, "degree_w2": args.degree_w2}
-    return (0 if report.passed else 1), params, outputs
+    return report.passed, _emit_json(args, report.to_dict())
 
 
 def _load_gamma_file(path, metric) -> GammaRep:
@@ -208,23 +216,26 @@ def _cmd_clifford_check(args):
     else:
         rep = standard_gamma_rep(metric)
     report = clifford_report(rep)
-    outputs = _emit(args, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    params = {"gamma_file": args.gamma_file}
-    return (0 if report["pass"] else 1), params, outputs
+    return report["pass"], _emit_json(args, report)
 
 
 def _cmd_dirac_square(args):
     metric = _METRICS[args.metric_label]
     report = dirac_square_check(args.degree, metric)
-    outputs = _emit(args, report.to_json(indent=2, sort_keys=True) + "\n")
-    return (0 if report.passed else 1), {"degree": args.degree}, outputs
+    return report.passed, _emit_json(args, report.to_dict())
 
 
 def _cmd_kg_check(args):
     spec = _parse_grid(args.grid)
+    if len(spec.axes) != 2:
+        raise ValueError(f"kg-check needs a 2-axis --grid, got {len(spec.axes)} axes")
+    sigma2 = args.width * args.width
+    if not (args.width > 0 and 0 < sigma2 < math.inf):
+        raise ValueError(
+            f"--width must be positive with a finite nonzero square, got {args.width}"
+        )
     metric = _METRICS[args.metric_label]
     signs = (metric[0], metric[1])
-    sigma2 = args.width * args.width
     phi = Field.from_function(
         spec, lambda a, b: np.exp(-(a * a + b * b) / sigma2)
     )
@@ -237,29 +248,19 @@ def _cmd_kg_check(args):
         "tolerance": _fmt(args.tol),
         "pass": passed,
     }
-    outputs = _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    params = {
-        "grid": args.grid,
-        "p0": args.p0,
-        "p1": args.p1,
-        "mass": args.mass,
-        "width": args.width,
-        "tol": args.tol,
-    }
-    return (0 if passed else 1), params, outputs
+    return passed, _emit_json(args, doc)
 
 
 def _cmd_landau_spectrum(args):
-    lo, hi = args.n
+    hi = args.n[-1]
     if hi + 1 > SERIES_TERM_LIMIT:
         # the level bound that landau-eigen applies through L_n
         raise ValueError(
             f"level {hi} is above {SERIES_TERM_LIMIT - 1}, the highest level landau-eigen takes"
         )
-    levels = list(range(lo, hi + 1))
     params = LandauParams(args.eB, args.s)
     rows = ["n,s,eB,k,kappa,lambda2_paper,lambda2_oracle,s_sign_discrepant"]
-    for n in levels:
+    for n in args.n:
         row = spectrum(n, params)
         rows.append(
             ",".join(
@@ -282,9 +283,7 @@ def _cmd_landau_spectrum(args):
                 f"{_fmt(row.lambda2_oracle)} (spin-shift sign discrepancy)",
                 file=sys.stderr,
             )
-    outputs = _emit(args, "\n".join(rows) + "\n")
-    params = {"n": levels, "s": args.s, "eB": args.eB}
-    return 0, params, outputs
+    return True, _emit(args, "\n".join(rows) + "\n")
 
 
 def _cmd_landau_eigen(args):
@@ -315,15 +314,7 @@ def _cmd_landau_eigen(args):
         f"pass={str(passed).lower()}",
         file=sys.stderr,
     )
-    params_doc = {
-        "n": args.n,
-        "s": args.s,
-        "eB": args.eB,
-        "z_max": args.z_max,
-        "points": args.points,
-        "tol": args.tol,
-    }
-    return (0 if passed else 1), params_doc, outputs
+    return passed, outputs
 
 
 def _cmd_landau_reduce_check(args):
@@ -347,17 +338,7 @@ def _cmd_landau_reduce_check(args):
         "imag_tolerance": _fmt(args.imag_tol),
         "pass": passed,
     }
-    outputs = _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    params_doc = {
-        "n": args.n,
-        "s": args.s,
-        "eB": args.eB,
-        "points": args.points,
-        "box": args.box,
-        "tol": args.tol,
-        "imag_tol": args.imag_tol,
-    }
-    return (0 if passed else 1), params_doc, outputs
+    return passed, _emit_json(args, doc)
 
 
 def _write_field(args, field: Field):
@@ -407,17 +388,7 @@ def _cmd_wigner(args):
         f"trace_rel_err={_fmt(trace_err)} pass={str(passed).lower()}",
         file=sys.stderr,
     )
-    params_doc = {
-        "kind": args.kind,
-        "n": args.n,
-        "s": args.s,
-        "eB": args.eB,
-        "points": args.points,
-        "box": args.box,
-        "grid": args.grid,
-        "format": args.format,
-    }
-    return (0 if passed else 1), params_doc, outputs
+    return passed, outputs
 
 
 def _cmd_specfun_eval(args):
@@ -435,15 +406,7 @@ def _cmd_specfun_eval(args):
     rows = ["x,value"]
     for x in xs:
         rows.append(f"{_fmt(x)},{_fmt(fn(float(x)))}")
-    outputs = _emit(args, "\n".join(rows) + "\n")
-    params = {
-        "function": args.function,
-        "a": args.a,
-        "b": args.b,
-        "n": args.n,
-        "x": args.x,
-    }
-    return 0, params, outputs
+    return True, _emit(args, "\n".join(rows) + "\n")
 
 
 # -- parser wiring ----------------------------------------------------------
@@ -521,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("landau-spectrum", help="level table")
     common(p)
-    p.add_argument("--n", type=_parse_range, default=(0, 0))
+    p.add_argument("--n", type=_parse_range, default="0")
     p.add_argument("--s", type=_parse_spin, default=1)
     p.add_argument("--eB", type=float, default=1.0)
     p.set_defaults(handler=_cmd_landau_spectrum)
@@ -615,13 +578,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_dash_values(parser, argv))
     start = time.perf_counter()
     try:
-        code, params, outputs = args.handler(args)
+        passed, outputs = args.handler(args)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     wall_ms = (time.perf_counter() - start) * 1000.0
-    _write_manifest(args, args.command, params, outputs, code == 0, wall_ms)
-    return code
+    _write_manifest(args, outputs, passed, wall_ms)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ __all__ = [
     "GridSpec",
     "Field",
     "inner_product",
-    "norm",
     "fourier_derivative",
     "fd_derivative",
     "grid_star",
@@ -219,10 +218,6 @@ def inner_product(f: Field, g: Field) -> complex:
     spectrally accurate on the periodic axes."""
     f._check(g)
     return complex(np.sum(np.conj(f.values) * g.values * f.spec.cell_volume()))
-
-
-def norm(f: Field) -> float:
-    return float(np.sqrt(inner_product(f, f).real))
 
 
 def fourier_derivative(f: Field, axis: int, order: int = 1) -> Field:

@@ -164,10 +164,6 @@ class LandauEigenfunction:
         """Integral of phi_n^2 over z in [0, inf); equals eB/2 exactly."""
         return self.params.eB / 2.0
 
-    def normalization(self) -> float:
-        """B_n making the z-integral of (B_n phi_n)^2 equal one."""
-        return math.sqrt(2.0 / self.params.eB)
-
 
 def eigenfunction(n: int, params: LandauParams) -> LandauEigenfunction:
     _check_level(n)

@@ -184,6 +184,7 @@ class _Parser:
 
     def _factor(self, term: _Term):
         negate = False
+        start = self.toks.peek()[2]
         while self.toks.peek()[0] == "-":
             self.toks.next()
             negate = not negate
@@ -212,7 +213,18 @@ class _Parser:
             term.scale(_power(atom, exponent))
         elif len(atom) > 1:
             poly = PhasePolynomial._raw(atom, self.dims) ** exponent
-            term.poly = poly if term.poly is None else term.poly * poly
+            if term.poly is None:
+                term.poly = poly
+            else:
+                # a product of t1 and t2 terms has at most t1*t2 terms
+                bound = len(term.poly.terms) * len(poly.terms)
+                if bound > MAX_POWER_TERMS:
+                    raise ParseError(
+                        f"a product of groups of {len(term.poly.terms)} and {len(poly.terms)} "
+                        f"terms can have {bound} terms, more than the limit {MAX_POWER_TERMS}",
+                        start,
+                    )
+                term.poly = term.poly * poly
         else:
             # a group of at most one term is a monomial factor
             key, coeff = next(iter(atom.items()), (_ZERO_KEY, CR_ZERO))

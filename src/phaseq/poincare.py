@@ -16,7 +16,6 @@ literal zero polynomial.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -84,9 +83,6 @@ class AlgebraReport:
                 for v in self.violations
             ],
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def monomial_basis(max_degree: int) -> list[PhasePolynomial]:

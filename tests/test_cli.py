@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from phaseq.cli import main
+from phaseq.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -208,23 +209,6 @@ def test_landau_eigen_high_levels_pass(tmp_path, capsys, monkeypatch, n, eB):
     assert "pass=true" in err
 
 
-def test_landau_reduce_check_manifest_params(tmp_path, capsys, monkeypatch):
-    # every option that decides pass is recorded, --imag-tol included
-    monkeypatch.chdir(tmp_path)
-    code, _, _ = run(capsys, "landau-reduce-check", "--points", "12", "--imag-tol", "0.001")
-    assert code == 0
-    manifest = json.loads((tmp_path / "landau-reduce-check-manifest.json").read_text())
-    assert manifest["params"] == {
-        "n": 0,
-        "s": 1,
-        "eB": 1.0,
-        "points": 12,
-        "box": 1.7,
-        "tol": 0.005,
-        "imag_tol": 0.001,
-    }
-
-
 def test_specfun_eval(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(
@@ -317,13 +301,18 @@ def test_kg_check_exit_codes(tmp_path, capsys, monkeypatch):
         ["landau-eigen", "--eB", "1e-110", "--n", "1"],
         ["landau-eigen", "--eB", "1.5e-154", "--n", "5"],
         ["landau-eigen", "--eB", "1e-140", "--n", "999"],
+        ["kg-check", "--grid", "q0:8:-9:9,q1:8:-9:9,q2:8:-1:1,q3:8:-1:1"],
+        ["kg-check", "--width", "0"],
+        ["kg-check", "--width", "1e-170"],
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_domain_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv):
+    # a numpy warning before the refusal fails the row
     monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
@@ -421,3 +410,83 @@ def test_options_are_taken_only_where_read(tmp_path, capsys, monkeypatch, comman
         main([command, *_MINIMAL_ARGS[command]])
         manifest = json.loads((tmp_path / f"{command}-manifest.json").read_text())
         assert manifest["metric"] == "+---"
+
+
+# one row per subcommand, keyed by its name, plus two more level ranges
+_PARAMS_ROWS = {
+    "star": (["star", "--expr1", "q0", "--expr2", "p0"], {"expr1": "q0", "expr2": "p0"}),
+    "bracket": (
+        ["bracket", "--expr1", "q0*p1", "--expr2", "-p0", "--metric", "-+++"],
+        {"expr1": "q0*p1", "expr2": "-p0"},
+    ),
+    "algebra-check": (["algebra-check", "--degree", "1"], {"degree": 1}),
+    "casimir-check": (["casimir-check"], {"degree_p2": 2, "degree_w2": 1}),
+    "clifford-check": (["clifford-check"], {"gamma_file": None}),
+    "dirac-square": (["dirac-square", "--degree", "1"], {"degree": 1}),
+    "kg-check": (
+        ["kg-check", "--grid", "q0:64:-9:9,q1:64:-9:9", "--width", "2.5", "--tol", "1e-5"],
+        {"grid": "q0:64:-9:9,q1:64:-9:9", "p0": 0.7, "p1": 0.3, "mass": 1.0, "width": 2.5, "tol": 1e-05},
+    ),
+    "landau-spectrum": (["landau-spectrum"], {"n": [0], "s": 1, "eB": 1.0}),
+    "landau-spectrum-range": (
+        ["landau-spectrum", "--n", "0..3", "--s", "-1", "--eB", "2"],
+        {"n": [0, 1, 2, 3], "s": -1, "eB": 2.0},
+    ),
+    "landau-spectrum-single": (["landau-spectrum", "--n", "2"], {"n": [2], "s": 1, "eB": 1.0}),
+    "landau-eigen": (
+        ["landau-eigen", "--n", "1", "--points", "11"],
+        {"n": 1, "s": 1, "eB": 1.0, "z_max": 30.0, "points": 11, "tol": 1e-09},
+    ),
+    "landau-reduce-check": (
+        ["landau-reduce-check", "--points", "12", "--imag-tol", "0.001"],
+        {"n": 0, "s": 1, "eB": 1.0, "points": 12, "box": 1.7, "tol": 0.005, "imag_tol": 0.001},
+    ),
+    "wigner": (
+        ["wigner", "--grid", "q:16:-5:5,p:16:-5:5"],
+        {
+            "kind": "gaussian",
+            "n": 0,
+            "s": 1,
+            "eB": 1.0,
+            "points": 12,
+            "box": 3.0,
+            "grid": "q:16:-5:5,p:16:-5:5",
+            "format": "csv",
+        },
+    ),
+    "specfun-eval": (
+        ["specfun-eval", "--function", "laguerre", "--n", "2", "--x", "0:2:3"],
+        {"function": "laguerre", "a": 0.0, "b": 1.0, "n": 2, "x": "0:2:3"},
+    ),
+}
+
+
+def _manifest_params(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    return json.loads((tmp_path / f"{argv[0]}-manifest.json").read_text())["params"]
+
+
+@pytest.mark.parametrize("row", list(_PARAMS_ROWS))
+def test_manifest_params_pinned(tmp_path, capsys, monkeypatch, row):
+    argv, params = _PARAMS_ROWS[row]
+    assert _manifest_params(tmp_path, capsys, monkeypatch, argv) == params
+
+
+def _subcommands():
+    parser = build_parser()
+    return next(
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+
+
+@pytest.mark.parametrize("command", list(_subcommands()))
+def test_manifest_params_are_the_option_dests(tmp_path, capsys, monkeypatch, command):
+    # every option a subcommand takes is recorded, apart from where the
+    # outputs go and the metric, which the manifest holds under "metric"
+    dests = {
+        a.dest for a in _subcommands()[command]._actions if a.option_strings
+    } - {"help", "out", "manifest", "metric_label"}
+    argv, _ = _PARAMS_ROWS[command]
+    assert set(_manifest_params(tmp_path, capsys, monkeypatch, argv)) == dests

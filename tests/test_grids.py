@@ -11,7 +11,6 @@ from phaseq import (
     grid_star,
     inner_product,
     kg_two_route_check,
-    norm,
     read_field_binary,
     wigner_from_amplitude,
     write_field_binary,
@@ -327,9 +326,3 @@ def test_csv_bytes_match_row_by_row_oracle(tmp_path, name):
     write_field_csv(f, fast)
     row_by_row_field_csv(f, slow)
     assert fast.read_bytes() == slow.read_bytes()
-
-
-def test_norm_positive():
-    spec = qp_spec(16, 3.0)
-    f = Field.from_function(spec, lambda q, p: np.exp(-(q * q + p * p)))
-    assert norm(f) > 0

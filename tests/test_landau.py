@@ -124,7 +124,6 @@ def test_eigenfunction_norm_exact():
         for n in range(4):
             phi = eigenfunction(n, params)
             assert phi.norm_squared() == eB / 2.0
-            assert abs(phi.normalization() - math.sqrt(2.0 / eB)) < 1e-15
             # quadrature agrees with the closed form
             x = np.linspace(0, 40 * eB, 20001)
             quad = np.trapezoid(phi(x) ** 2, x)

@@ -86,6 +86,23 @@ def test_group_power_bounded_before_expanding():
     assert parse_expression("(2*q0)^64") == parse_expression("2^64*q0^64")
 
 
+def test_group_product_bounded_before_multiplying():
+    # groups of t1 and t2 terms make t1*t2 products; 330*330 is refused unformed
+    group = "(q0+q1+q2+q3+p0+p1+p2+p3)^4"
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="108900 terms, more than the limit 1000") as err:
+        parse_expression(group + "*" + group)
+    assert time.perf_counter() - start < 0.5
+    assert err.value.pos == len(group) + 1
+    # the bound counts pairs, not distinct terms: 65*65 = 4225 pairs, 129 terms
+    with pytest.raises(ParseError, match="4225 terms"):
+        parse_expression("(q0+p0)^64*(q0+p0)^64")
+    # 31*31 = 961 stays within the limit, and a third factor is bounded too
+    assert len(parse_expression("(q0+p0)^30*(q1+p1)^30").terms) == 961
+    with pytest.raises(ParseError, match="961 and 2 terms can have 1922 terms"):
+        parse_expression("(q0+p0)^30*(q1+p1)^30*(q2+p2)")
+
+
 @pytest.mark.parametrize("text, pos", [("q0^\u00b2", 3), ("\u00b2", 0), ("q\u00b2", 0)])
 def test_non_decimal_digits_are_parse_errors(text, pos):
     # superscript digits pass str.isdigit() but are not decimal digits
