@@ -27,11 +27,9 @@ from .algebra import (
 from .confluent import kummer_m, kummer_u, laguerre
 from .dirac import (
     GammaRep,
-    chiral_projector,
     clifford_report,
     dirac_square_check,
     gamma_product_decomposition,
-    project_solution,
     sigma,
     standard_gamma_rep,
 )
@@ -64,15 +62,12 @@ from .landau import (
     reduced_ode_apply,
     reduction_equivalence_check,
     spectrum,
-    temporal_factor_check,
-    temporal_factor_residual,
     wigner_landau,
     z_variable,
 )
 from .parsing import ParseError, format_polynomial, parse_expression
 from .poincare import (
     AlgebraReport,
-    ResidualRecord,
     angular_generator,
     casimir_p2,
     casimir_w2,

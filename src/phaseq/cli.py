@@ -48,6 +48,8 @@ from .poincare import check_casimirs, check_poincare_algebra
 from .star import moyal_star
 
 _METRICS = {"+---": MOSTLY_MINUS, "-+++": MOSTLY_PLUS}
+# the most rows a specfun-eval or landau-eigen table may have
+MAX_TABLE_ROWS = 100_000
 
 
 def _fmt(x: float) -> str:
@@ -64,6 +66,14 @@ def _parse_range(text: str) -> range:
             raise argparse.ArgumentTypeError(f"empty range {text!r}")
         return range(lo, hi + 1)
     return range(int(text), int(text) + 1)
+
+
+def _table_points(lo: float, hi: float, count: int, option: str) -> np.ndarray:
+    """count evenly spaced points on [lo, hi], refused before allocation
+    when the table would have more than MAX_TABLE_ROWS rows."""
+    if count > MAX_TABLE_ROWS:
+        raise ValueError(f"{option} asks for {count} rows, more than {MAX_TABLE_ROWS}")
+    return np.linspace(lo, hi, count)
 
 
 def _parse_spin(text: str) -> int:
@@ -289,9 +299,11 @@ def _cmd_landau_spectrum(args):
 def _cmd_landau_eigen(args):
     if not args.z_max > 0:
         raise ValueError(f"--z-max must be positive, got {args.z_max}")
+    if not math.isfinite(args.z_max):
+        raise ValueError(f"--z-max must be finite, got {args.z_max}")
     params = LandauParams(args.eB, args.s)
     phi = eigenfunction(args.n, params)
-    z = np.linspace(0.0, args.z_max, args.points)
+    z = _table_points(0.0, args.z_max, args.points, "--points")
     kappa = spectrum(args.n, params).kappa
     with np.errstate(all="ignore"):
         vals = phi(z)
@@ -396,7 +408,7 @@ def _cmd_specfun_eval(args):
     if len(bits) != 3:
         raise ValueError("--x wants min:max:count")
     lo, hi, count = float(bits[0]), float(bits[1]), int(bits[2])
-    xs = np.linspace(lo, hi, count)
+    xs = _table_points(lo, hi, count, "--x")
     if args.function == "kummer-m":
         fn = lambda x: kummer_m(args.a, args.b, x)
     elif args.function == "kummer-u":

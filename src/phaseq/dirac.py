@@ -1,5 +1,5 @@
-"""Gamma matrices, sigma blocks, chirality projectors and the Dirac square,
-in one algebra of 4x4 matrices of phase-space symbols.
+"""Gamma matrices, sigma blocks and the Dirac square, in one algebra of
+4x4 matrices of phase-space symbols.
 
 A matrix is a 4x4 tuple of row tuples of PhasePolynomial entries. It acts
 on spinors by left star multiplication, and the product of two matrices
@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .algebra import (
     CR_I,
@@ -37,15 +35,12 @@ __all__ = [
     "mat_scale",
     "mat_identity",
     "mat_zero",
-    "mat_to_numpy",
     "anticommutator",
     "GammaRep",
     "standard_gamma_rep",
     "sigma",
     "gamma_product_decomposition",
     "clifford_report",
-    "chiral_projector",
-    "project_solution",
     "dirac_square_check",
 ]
 
@@ -93,13 +88,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 def mat_scale(c, a: Matrix) -> Matrix:
     """c * a for a number c."""
     return tuple(tuple(a[i][j].scale(c) for j in range(4)) for i in range(4))
-
-
-def mat_to_numpy(a: Matrix) -> np.ndarray:
-    """A matrix of constants as a complex numpy array."""
-    if any(entry.degree() > 0 for row in a for entry in row):
-        raise ValueError("only a matrix of constants converts to numbers")
-    return np.array([[a[i][j].constant_term().to_complex() for j in range(4)] for i in range(4)])
 
 
 def anticommutator(a: Matrix, b: Matrix, metric: MetricSignature = MOSTLY_MINUS) -> Matrix:
@@ -244,24 +232,6 @@ def clifford_report(rep: GammaRep) -> dict:
         "failures": failures,
         "decomposition_constant": const_str,
     }
-
-
-def chiral_projector(sign: int, rep: GammaRep) -> Matrix:
-    """(I + sign*gamma5)/2."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return mat_scale(Fraction(1, 2), mat_add(mat_identity(), mat_scale(sign, rep.gamma5)))
-
-
-def project_solution(psi, rep: GammaRep, sign: int = 1):
-    """Apply the chirality projector to a 4-component value array.
-
-    ``psi`` may be any sequence of four numbers or numpy arrays; the result
-    satisfies gamma5 * out = sign * out.
-    """
-    proj = mat_to_numpy(chiral_projector(sign, rep))
-    comps = [np.asarray(c) for c in psi]
-    return [sum(proj[i][j] * comps[j] for j in range(4)) for i in range(4)]
 
 
 def dirac_square_check(

@@ -14,6 +14,7 @@ Klein-Gordon operator.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 
@@ -56,6 +57,8 @@ class Axis:
             raise ValueError(f"axis {self.name!r} needs n >= 4, got {self.n}")
         if not self.hi > self.lo:
             raise ValueError(f"axis {self.name!r} needs max > min")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"axis {self.name!r} needs a finite max - min")
 
     @property
     def spacing(self) -> float:

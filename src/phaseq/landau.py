@@ -4,7 +4,7 @@ Covers the full 4D magnetic operator over (x, y, px, py), the radial
 variable z and the reduced ordinary differential equation it satisfies,
 the exact spectrum, polynomial-times-exponential eigenfunctions evaluated
 through the Laguerre recurrence, a Rayleigh-quotient eigenvalue oracle,
-the temporal factor, and Landau Wigner functions.
+and Landau Wigner functions.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ __all__ = [
     "landau_amplitude",
     "reduced_ode_apply",
     "rayleigh_quotient",
-    "temporal_factor_residual",
-    "temporal_factor_check",
     "full_operator_apply",
     "ReductionReport",
     "reduction_equivalence_check",
@@ -225,33 +223,6 @@ def rayleigh_quotient(phi, params: LandauParams) -> float:
     return float(np.sum(w * vals * op)) / denom
 
 
-def temporal_factor_residual(E: float, alpha: float, m: float) -> float:
-    """lambda^2 produced by the temporal ansatz e^{i alpha t}: -(E - alpha/2)^2 - m^2."""
-    return -((E - 0.5 * alpha) ** 2) - m * m
-
-
-def temporal_factor_check(E: float, alpha: float, m: float) -> float:
-    """Two-route check of the temporal factor.
-
-    Applies the displayed operator -E^2 - i E d_t + (1/4) d_t^2 - m^2 to
-    e^{i alpha t} on a 256-point periodic t-grid with Fourier
-    differentiation and returns the maximum deviation from the closed form.
-    """
-    if alpha == 0.0:
-        period = 2.0 * np.pi
-    else:
-        period = 2.0 * np.pi / abs(alpha)
-    t = period * np.arange(256) / 256
-    phi = np.exp(1j * alpha * t)
-    k = 2.0 * np.pi * np.fft.fftfreq(256, d=period / 256)
-    spectrum_hat = np.fft.fft(phi)
-    d1 = np.fft.ifft(1j * k * spectrum_hat)
-    d2 = np.fft.ifft(-(k**2) * spectrum_hat)
-    applied = -E * E * phi - 1j * E * d1 + 0.25 * d2 - m * m * phi
-    closed = temporal_factor_residual(E, alpha, m) * phi
-    return float(np.max(np.abs(applied - closed)))
-
-
 def full_operator_apply(phi: Field, params: LandauParams) -> Field:
     """Apply the full 4D magnetic operator to a field on a landau_grid.
 
@@ -317,13 +288,18 @@ def reduction_equivalence_check(
     over the interior region, plus the size of the spurious imaginary
     part. The interior margin, a third of the smallest axis and at least
     4 points, excludes points near the (non-decaying) box boundary where
-    wraparound pollutes derivatives.
+    wraparound pollutes derivatives; it leaves an interior only from 9
+    points per axis, and a smaller grid is a ValueError.
     """
     row = spectrum(n, params)
     expected = row.lambda2_oracle  # kappa - s eB
     # keep the compared region a fixed fraction of the box so that
     # refinement comparisons look at comparable interiors
     interior_margin = max(4, min(spec.shape) // 3)
+    if min(spec.shape) <= 2 * interior_margin:
+        raise ValueError(
+            f"the reduction check needs at least 9 points per axis, got {min(spec.shape)}"
+        )
     # sampled inline, not by landau_amplitude: holding X..PY and z through
     # full_operator_apply keeps grid-ops peak RSS at 148 MB, not 167-169 MB
     X, Y, PX, PY = spec.meshgrid()

@@ -29,7 +29,6 @@ from .algebra import (
 from .star import commutator_on, moyal_star
 
 __all__ = [
-    "ResidualRecord",
     "AlgebraReport",
     "monomial_basis",
     "angular_generator",
@@ -45,16 +44,12 @@ _I = ComplexRational(Fraction(0), Fraction(1))
 _ONE = PhasePolynomial.constant(1)
 
 
-@dataclass(frozen=True)
-class ResidualRecord:
-    relation: str
-    monomial: str
-    residual: str
-
-
 @dataclass
 class AlgebraReport:
-    """Outcome of an exact operator-identity sweep over a monomial basis."""
+    """Outcome of an exact operator-identity sweep over a monomial basis.
+
+    Each violation is a {"relation", "monomial", "residual"} dict of strings.
+    """
 
     checked: int = 0
     violations: list = field(default_factory=list)
@@ -67,21 +62,14 @@ class AlgebraReport:
         self.checked += 1
         if not residual.is_zero():
             self.violations.append(
-                ResidualRecord(relation, str(monomial), str(residual))
+                {"relation": relation, "monomial": str(monomial), "residual": str(residual)}
             )
 
     def to_dict(self) -> dict:
         return {
             "checked": self.checked,
             "pass": self.passed,
-            "violations": [
-                {
-                    "relation": v.relation,
-                    "monomial": v.monomial,
-                    "residual": v.residual,
-                }
-                for v in self.violations
-            ],
+            "violations": self.violations,
         }
 
 

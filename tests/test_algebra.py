@@ -1,8 +1,11 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import phaseq
 from phaseq import (
     CR_I,
     CR_ONE,
@@ -126,3 +129,18 @@ def test_poisson_bracket_antisymmetry_and_jacobi():
             + poisson_bracket(h, poisson_bracket(f, g))
         )
         assert jac.is_zero()
+
+
+def test_exact_layer_does_not_import_numpy():
+    # the exact layer decides every identity by literal equality, with no floats
+    src = Path(phaseq.__file__).parent
+    for module in ("algebra", "star", "parsing", "poincare", "dirac"):
+        tree = ast.parse((src / f"{module}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "numpy" for name in names), module

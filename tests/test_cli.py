@@ -304,6 +304,13 @@ def test_kg_check_exit_codes(tmp_path, capsys, monkeypatch):
         ["kg-check", "--grid", "q0:8:-9:9,q1:8:-9:9,q2:8:-1:1,q3:8:-1:1"],
         ["kg-check", "--width", "0"],
         ["kg-check", "--width", "1e-170"],
+        ["specfun-eval", "--function", "laguerre", "--x", "0:1:10000000000000"],
+        ["landau-eigen", "--points", "10000000000000"],
+        ["landau-reduce-check", "--box", "inf"],
+        ["landau-reduce-check", "--box", "1e308"],
+        ["wigner", "--kind", "landau", "--box", "inf"],
+        ["kg-check", "--grid", "q0:8:-inf:9,q1:8:-9:9"],
+        ["landau-eigen", "--z-max", "inf"],
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_laguerre
 
+import phaseq.landau
 from phaseq import (
     Field,
     LandauParams,
@@ -16,8 +17,6 @@ from phaseq import (
     reduced_ode_apply,
     reduction_equivalence_check,
     spectrum,
-    temporal_factor_check,
-    temporal_factor_residual,
     wigner_landau,
     z_variable,
 )
@@ -172,18 +171,29 @@ def test_rayleigh_quotient_perturbation_insensitive():
     assert abs(rq - 1.0) < 5e-4
 
 
-def test_temporal_factor_two_routes():
-    assert temporal_factor_residual(2.0, 1.0, 0.5) == -(1.5**2) - 0.25
-    for E, alpha, m in [(1.0, 0.5, 0.0), (2.0, 1.0, 0.5), (0.7, -0.3, 1.2)]:
-        assert temporal_factor_check(E, alpha, m) < 1e-10
-
-
 def test_reduction_equivalence_small_grid():
     params = LandauParams(eB=1.0, s=1)
     report = reduction_equivalence_check(0, params, landau_grid(12, 1.7))
     assert report.expected_value == 0.0
     assert report.relative_difference < 1e-2
     assert report.imag_fraction < 1e-3
+
+
+def test_reduction_check_refuses_grid_without_interior(monkeypatch):
+    # the 4-point interior margin leaves nothing to compare below 9 points,
+    # and the refusal comes before the 4-D operator is applied
+    def unreachable(*args):
+        raise AssertionError("full_operator_apply was reached")
+
+    monkeypatch.setattr(phaseq.landau, "full_operator_apply", unreachable)
+    with pytest.raises(ValueError, match="at least 9 points"):
+        reduction_equivalence_check(0, LandauParams(), landau_grid(8, 1.7))
+
+
+def test_reduction_check_smallest_grid_has_one_interior_point():
+    report = reduction_equivalence_check(0, LandauParams(), landau_grid(9, 1.7))
+    assert report.interior_margin == 4
+    assert math.isfinite(report.relative_difference)
 
 
 def test_wigner_landau_real_small_grid():
