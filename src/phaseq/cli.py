@@ -70,9 +70,12 @@ def _parse_range(text: str) -> range:
 
 def _table_points(lo: float, hi: float, count: int, option: str) -> np.ndarray:
     """count evenly spaced points on [lo, hi], refused before allocation
-    when the table would have more than MAX_TABLE_ROWS rows."""
+    when the table would have more than MAX_TABLE_ROWS rows or a span
+    that is not a finite float."""
     if count > MAX_TABLE_ROWS:
         raise ValueError(f"{option} asks for {count} rows, more than {MAX_TABLE_ROWS}")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"{option} needs finite endpoints with a finite max - min")
     return np.linspace(lo, hi, count)
 
 

@@ -20,8 +20,6 @@ __all__ = [
     "kummer_m",
     "kummer_u",
     "laguerre",
-    "MAX_SERIES_ARG",
-    "SERIES_TERM_LIMIT",
 ]
 
 MAX_SERIES_ARG = 50.0

@@ -28,14 +28,6 @@ from .poincare import AlgebraReport, casimir_p2, monomial_basis
 from .star import moyal_star
 
 __all__ = [
-    "Matrix",
-    "mat_mul",
-    "mat_add",
-    "mat_sub",
-    "mat_scale",
-    "mat_identity",
-    "mat_zero",
-    "anticommutator",
     "GammaRep",
     "standard_gamma_rep",
     "sigma",

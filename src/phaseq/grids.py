@@ -35,7 +35,6 @@ __all__ = [
     "write_field_csv",
     "write_field_binary",
     "read_field_binary",
-    "MAX_TOTAL_POINTS",
 ]
 
 MAX_TOTAL_POINTS = 2**21
@@ -59,6 +58,8 @@ class Axis:
             raise ValueError(f"axis {self.name!r} needs max > min")
         if not math.isfinite(self.hi - self.lo):
             raise ValueError(f"axis {self.name!r} needs a finite max - min")
+        if not math.isfinite(max(self.lo * self.lo, self.hi * self.hi)):
+            raise ValueError(f"axis {self.name!r} needs min and max with finite squares")
 
     @property
     def spacing(self) -> float:
@@ -223,19 +224,14 @@ def inner_product(f: Field, g: Field) -> complex:
     return complex(np.sum(np.conj(f.values) * g.values * f.spec.cell_volume()))
 
 
-def fourier_derivative(f: Field, axis: int, order: int = 1) -> Field:
-    """Spectral derivative along one axis; exact for band-limited fields."""
+def fourier_derivative(f: Field, axis: int) -> Field:
+    """Spectral first derivative along one axis; exact for band-limited fields."""
     if not 0 <= axis < len(f.spec.axes):
         raise ValueError("axis out of range")
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
     k = f.spec.axes[axis].wavenumbers()
     shape = [1] * len(f.spec.axes)
     shape[axis] = len(k)
-    mult = (1j * k.reshape(shape)) ** order
-    if order == 2:
-        # avoid the spurious Nyquist imaginary part of squaring (ik)
-        mult = -(k.reshape(shape) ** 2)
+    mult = 1j * k.reshape(shape)
     spectrum = np.fft.fft(f.values, axis=axis)
     return Field(f.spec, np.fft.ifft(spectrum * mult, axis=axis))
 
@@ -353,12 +349,15 @@ def kg_two_route_check(
     derivative with 8th-order finite differences; route B iterates the
     first-order multiply-and-differentiate form with spectral
     derivatives. The two routes are algebraically identical, so their
-    discrepancy measures pure discretization error.
+    discrepancy measures pure discretization error. A field that is zero
+    at every point is a ValueError, since both routes would give zero.
     """
     if len(phi.spec.axes) != 2:
         raise ValueError("kg_two_route_check expects a 2D field")
     if len(p_values) != 2 or len(metric_signs) != 2:
         raise ValueError("need two momentum values and two metric signs")
+    if not np.any(phi.values):
+        raise ValueError("phi is zero at every grid point; the two routes would agree vacuously")
     p = [float(v) for v in p_values]
     g = [int(s) for s in metric_signs]
     pp = sum(g[mu] * p[mu] * p[mu] for mu in range(2))
@@ -373,7 +372,7 @@ def kg_two_route_check(
     # route B: nested first-order form, spectral derivatives
     def first_order(h: Field, mu: int) -> Field:
         # p^mu star h = p^mu h - (i/2) g^mumu dh/dq^mu
-        d = fourier_derivative(h, mu, 1)
+        d = fourier_derivative(h, mu)
         return Field(h.spec, p[mu] * h.values - 0.5j * g[mu] * d.values)
 
     route_b = np.zeros_like(phi.values)
@@ -413,20 +412,22 @@ def write_field_csv(f: Field, path):
 
 def write_field_binary(f: Field, path):
     """Binary dump: magic 'SDEQ', version and axis count as u16, per-axis
-    (n: u32, min: f64, max: f64), then interleaved re/im f64, little-endian."""
+    (n: u32, min: f64, max: f64), then the samples as little-endian
+    complex128 (interleaved re/im f64)."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<HH", _FORMAT_VERSION, len(f.spec.axes)))
         for ax in f.spec.axes:
             fh.write(struct.pack("<Idd", ax.n, ax.lo, ax.hi))
-        inter = np.empty(f.values.size * 2, dtype="<f8")
-        inter[0::2] = f.values.real.ravel()
-        inter[1::2] = f.values.imag.ravel()
-        fh.write(inter.tobytes())
+        fh.write(np.ascontiguousarray(f.values, "<c16").tobytes())
 
 
-def read_field_binary(path, axis_names=None) -> Field:
-    """Read a field written by write_field_binary."""
+def read_field_binary(path) -> Field:
+    """Read a field written by write_field_binary, bit for bit.
+
+    Axes are named axis0, axis1, ...; the values are a read-only view of
+    the payload bytes.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -437,8 +438,7 @@ def read_field_binary(path, axis_names=None) -> Field:
         axes = []
         for a in range(naxes):
             n, lo, hi = struct.unpack("<Idd", fh.read(20))
-            name = axis_names[a] if axis_names else f"axis{a}"
-            axes.append(Axis(name, n, lo, hi))
+            axes.append(Axis(f"axis{a}", n, lo, hi))
         spec = GridSpec(axes) if naxes % 2 == 0 else GridSpec(
             axes, pairs=[]
         )
@@ -448,6 +448,5 @@ def read_field_binary(path, axis_names=None) -> Field:
             raise ValueError(
                 f"payload has {len(payload)} bytes, expected {expected}"
             )
-        raw = np.frombuffer(payload, dtype="<f8")
-        values = (raw[0::2] + 1j * raw[1::2]).reshape(spec.shape)
+        values = np.frombuffer(payload, dtype="<c16").reshape(spec.shape)
         return Field(spec, values)

@@ -94,6 +94,18 @@ def z_variable(x, y, px, py, params: LandauParams):
     return a * a + b * b
 
 
+def _check_z_range(params: LandauParams, spec: GridSpec) -> None:
+    """Refuse a grid on which z, at most 2 (box (1 + eB/2))^2, or the
+    Laguerre argument 2z/eB is not a finite float."""
+    box = max(max(abs(ax.lo), abs(ax.hi)) for ax in spec.axes)
+    reach = box * (1.0 + 0.5 * params.eB)
+    if not math.isfinite(2.0 * reach * reach * max(1.0, 2.0 / params.eB)):
+        raise ValueError(
+            f"box = {box} and eB = {params.eB} are out of range: "
+            "z up to 2 (box (1 + eB/2))^2, or 2z/eB, overflows a float"
+        )
+
+
 def spectrum(n: int, params: LandauParams) -> SpectrumRow:
     """Exact level data for (n, s): k = 2n+1 and kappa = eB(2n+1).
 
@@ -171,6 +183,7 @@ def eigenfunction(n: int, params: LandauParams) -> LandauEigenfunction:
 def landau_amplitude(n: int, params: LandauParams, spec: GridSpec) -> Field:
     """phi_n(z) sampled on a landau_grid, z from the grid's coordinates."""
     phi_n = eigenfunction(n, params)
+    _check_z_range(params, spec)
     return Field(spec, phi_n(z_variable(*spec.meshgrid(), params)))
 
 
@@ -300,11 +313,13 @@ def reduction_equivalence_check(
         raise ValueError(
             f"the reduction check needs at least 9 points per axis, got {min(spec.shape)}"
         )
+    phi_n = eigenfunction(n, params)
+    _check_z_range(params, spec)
     # sampled inline, not by landau_amplitude: holding X..PY and z through
     # full_operator_apply keeps grid-ops peak RSS at 148 MB, not 167-169 MB
     X, Y, PX, PY = spec.meshgrid()
     zval = z_variable(X, Y, PX, PY, params)
-    phi = Field(spec, eigenfunction(n, params)(zval))
+    phi = Field(spec, phi_n(zval))
     applied = full_operator_apply(phi, params)
 
     sl = tuple(

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +22,27 @@ from phaseq import (
 )
 
 from oracles import eval_poly, random_poly, random_rational
+
+LIBRARY_MODULES = ("algebra", "confluent", "dirac", "grids", "landau", "parsing", "poincare", "star")
+# sorted(phaseq.__all__): the 62 public names and the 8 library modules
+PUBLIC_API = [
+    "AlgebraReport", "Axis", "CR_I", "CR_ONE", "CR_ZERO", "ComplexRational",
+    "Field", "GammaRep", "GridSpec", "KGReport", "LandauEigenfunction",
+    "LandauParams", "MOSTLY_MINUS", "MOSTLY_PLUS", "MetricSignature", "ParseError",
+    "PhasePolynomial", "ReductionReport", "SpectrumRow", "algebra",
+    "angular_generator", "bandlimit", "casimir_p2", "casimir_w2", "check_casimirs",
+    "check_poincare_algebra", "clifford_report", "commutator_on", "confluent",
+    "dirac", "dirac_square_check", "eigenfunction", "fd_derivative",
+    "format_polynomial", "fourier_derivative", "full_operator_apply",
+    "gamma_product_decomposition", "grid_star", "grids", "inner_product",
+    "kg_two_route_check", "kummer_m", "kummer_u", "laguerre", "landau",
+    "landau_amplitude", "landau_grid", "levi_civita", "monomial_basis",
+    "moyal_star", "p_var", "parse_expression", "parsing", "pauli_lubanski",
+    "poincare", "poisson_bracket", "q_var", "rayleigh_quotient",
+    "read_field_binary", "reduced_ode_apply", "reduction_equivalence_check",
+    "sigma", "spectrum", "standard_gamma_rep", "star", "wigner_from_amplitude",
+    "wigner_landau", "write_field_binary", "write_field_csv", "z_variable",
+]
 
 
 def test_complex_rational_matches_python_complex():
@@ -144,3 +166,15 @@ def test_exact_layer_does_not_import_numpy():
             else:
                 continue
             assert not any(name.split(".")[0] == "numpy" for name in names), module
+
+
+def test_package_reexports_each_module_all_once():
+    assert sorted(phaseq.__all__) == PUBLIC_API
+    owner = {}
+    for module in LIBRARY_MODULES:
+        mod = importlib.import_module(f"phaseq.{module}")
+        for name in mod.__all__:
+            assert name not in owner, f"{name} is in {owner.get(name)} and {module}"
+            owner[name] = module
+            assert getattr(phaseq, name) is getattr(mod, name)
+    assert sorted([*owner, *LIBRARY_MODULES]) == PUBLIC_API

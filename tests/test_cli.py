@@ -311,6 +311,14 @@ def test_kg_check_exit_codes(tmp_path, capsys, monkeypatch):
         ["wigner", "--kind", "landau", "--box", "inf"],
         ["kg-check", "--grid", "q0:8:-inf:9,q1:8:-9:9"],
         ["landau-eigen", "--z-max", "inf"],
+        ["landau-reduce-check", "--box", "1e307"],
+        ["kg-check", "--grid", "q0:8:-1e307:1e307,q1:8:-9:9"],
+        ["wigner", "--kind", "landau", "--box", "1e200", "--points", "8"],
+        ["wigner", "--kind", "landau", "--eB", "1e200", "--points", "8"],
+        ["landau-reduce-check", "--eB", "1e200"],
+        ["specfun-eval", "--function", "laguerre", "--x", "0:inf:3"],
+        ["specfun-eval", "--function", "laguerre", "--x=-1e308:1e308:3"],
+        ["kg-check", "--grid", "q0:8:1000:2000,q1:8:1000:2000"],
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

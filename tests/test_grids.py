@@ -38,6 +38,10 @@ def test_axis_and_spec_validation():
         Axis("q", 3, 0.0, 1.0)
     with pytest.raises(ValueError):
         Axis("q", 8, 1.0, 1.0)
+    for lo, hi in ((-1e307, 1e307), (-1e200, 0.0), (0.0, 1.5e154)):
+        with pytest.raises(ValueError, match="finite squares"):
+            Axis("q", 8, lo, hi)
+    Axis("q", 8, -1e154, 1e154)
     with pytest.raises(ValueError):
         GridSpec([Axis("q", 8, 0.0, 1.0)])
     with pytest.raises(ValueError):
@@ -62,11 +66,11 @@ def test_field_arithmetic_and_nan_guard():
 def test_fourier_derivative_of_gaussian():
     spec = qp_spec(128, 10.0)
     f = Field.from_function(spec, lambda q, p: np.exp(-(q * q + p * p) / 2))
-    d1 = fourier_derivative(f, 0, 1)
+    d1 = fourier_derivative(f, 0)
     Q, P = spec.meshgrid()
     expected = -Q * f.values
     assert np.max(np.abs(d1.values - expected)) < 1e-12
-    d2 = fourier_derivative(f, 1, 2)
+    d2 = fourier_derivative(fourier_derivative(f, 1), 1)
     expected2 = (P * P - 1.0) * f.values
     assert np.max(np.abs(d2.values - expected2)) < 1e-11
 
@@ -77,8 +81,10 @@ def test_fd_derivative_matches_spectral():
     for axis in (0, 1):
         for order in (1, 2):
             a = fd_derivative(f, axis, order).values
-            b = fourier_derivative(f, axis, order).values
-            assert np.max(np.abs(a - b)) < 1e-6
+            b = fourier_derivative(f, axis)
+            if order == 2:
+                b = fourier_derivative(b, axis)
+            assert np.max(np.abs(a - b.values)) < 1e-6
 
 
 def test_grid_star_against_closed_form_oracle():
@@ -250,6 +256,14 @@ def test_kg_input_validation():
     phi = Field(spec, np.ones(spec.shape))
     with pytest.raises(ValueError):
         kg_two_route_check(phi, (1.0, 0.0), 1.0)
+    # a Gaussian that underflows to zero everywhere would pass vacuously
+    spec = GridSpec([Axis("q0", 8, 1000.0, 2000.0), Axis("q1", 8, 1000.0, 2000.0)])
+    phi = Field.from_function(spec, lambda a, b: np.exp(-(a * a + b * b) / 4.0))
+    with pytest.raises(ValueError, match="zero at every grid point"):
+        kg_two_route_check(phi, (0.7, 0.3), 1.0)
+    tiny = np.zeros(spec.shape)
+    tiny[0, 0] = 1e-300
+    assert kg_two_route_check(Field(spec, tiny), (0.7, 0.3), 1.0).scale > 0
 
 
 def test_binary_roundtrip(tmp_path):
@@ -257,11 +271,24 @@ def test_binary_roundtrip(tmp_path):
     f = Field.from_function(spec, lambda q, p: np.exp(1j * q) * np.cos(p))
     path = tmp_path / "field.bin"
     write_field_binary(f, path)
-    g = read_field_binary(path, axis_names=["q", "p"])
+    g = read_field_binary(path)
     assert g.spec.shape == f.spec.shape
+    assert [ax.name for ax in g.spec.axes] == ["axis0", "axis1"]
     assert np.max(np.abs(g.values - f.values)) == 0.0
     raw = path.read_bytes()
     assert raw[:4] == b"SDEQ"
+
+
+def test_binary_roundtrip_keeps_signed_zeros(tmp_path):
+    spec = qp_spec(4, 1.0)
+    values = np.ones(spec.shape, dtype=complex)
+    values.flat[:4] = [complex(-0.0, 1.0), complex(2.0, -0.0), complex(-0.0, -0.0), 0j]
+    f = Field(spec, values)
+    path = tmp_path / "field.bin"
+    write_field_binary(f, path)
+    g = read_field_binary(path)
+    assert g.values.tobytes() == f.values.tobytes()
+    assert path.read_bytes()[-g.values.nbytes:] == f.values.astype("<c16").tobytes()
 
 
 @pytest.mark.parametrize("delta", [-8, 8])

@@ -60,6 +60,23 @@ def test_landau_amplitude_samples_phi_of_z():
     assert np.array_equal(amp.values, want.astype(complex))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_samplers_refuse_a_grid_whose_z_overflows():
+    params = LandauParams(eB=1e200)
+    with pytest.raises(ValueError, match=r"2 \(box \(1 \+ eB/2\)\)\^2, or 2z/eB, overflows"):
+        landau_amplitude(0, params, landau_grid(8, 3.0))
+    with pytest.raises(ValueError, match=r"2 \(box \(1 \+ eB/2\)\)\^2, or 2z/eB, overflows"):
+        reduction_equivalence_check(0, params, landau_grid(10, 3.0))
+    # at eB = 1, 2z/eB <= 4 (1.5 box)^2 is finite for box = 4e153, not 5e153
+    assert landau_amplitude(0, LandauParams(), landau_grid(8, 4e153)).spec.shape == (8,) * 4
+    with pytest.raises(ValueError, match="overflows"):
+        landau_amplitude(0, LandauParams(), landau_grid(8, 5e153))
+    # at eB = 4, z <= 2 (3 box)^2 is finite for box = 3e153, not 4e153
+    assert landau_amplitude(0, LandauParams(eB=4.0), landau_grid(8, 3e153)).spec.shape == (8,) * 4
+    with pytest.raises(ValueError, match="overflows"):
+        landau_amplitude(0, LandauParams(eB=4.0), landau_grid(8, 4e153))
+
+
 def test_z_variable_completed_square():
     rng = np.random.default_rng(3)
     params = LandauParams(eB=1.5)
