@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,9 @@ class Axis:
             raise ValueError(f"axis {self.name!r} needs a finite max - min")
         if not math.isfinite(max(self.lo * self.lo, self.hi * self.hi)):
             raise ValueError(f"axis {self.name!r} needs min and max with finite squares")
+        h = self.spacing
+        if not (h > 0 and math.isfinite((math.pi / h) * (math.pi / h))):
+            raise ValueError(f"axis {self.name!r} is too fine: (pi/h)^2 overflows a float")
 
     @property
     def spacing(self) -> float:
@@ -221,7 +225,10 @@ def inner_product(f: Field, g: Field) -> complex:
     """Quadrature of integral conj(f) * g by the rectangle rule, which is
     spectrally accurate on the periodic axes."""
     f._check(g)
-    return complex(np.sum(np.conj(f.values) * g.values * f.spec.cell_volume()))
+    volume = f.spec.cell_volume()
+    if not sys.float_info.min <= volume <= sys.float_info.max:
+        raise ValueError(f"grid cell volume {volume!r} is not a normal positive float")
+    return complex(np.sum(np.conj(f.values) * g.values * volume))
 
 
 def fourier_derivative(f: Field, axis: int) -> Field:

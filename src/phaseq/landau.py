@@ -154,7 +154,9 @@ class LandauEigenfunction:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
-        return np.exp(-self.decay * z) * _laguerre(self.n, 0, self.scale * z)
+        # an overflowing L_n(2z/eB) leaves non-finite samples, which Field refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(-self.decay * z) * _laguerre(self.n, 0, self.scale * z)
 
     def derivative(self, z, order: int = 1):
         """Analytic first or second derivative with respect to z."""

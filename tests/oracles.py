@@ -25,7 +25,9 @@ coefficients of L_n, evaluated in Fraction arithmetic, against which the
 generalized-Laguerre recurrence of the Landau eigenfunctions is checked.
 row_by_row_field_csv is the CSV field dump written one csv.writer row and
 six format calls per grid point, which write_field_csv's per-axis
-formatting and one %-format per block of rows replaces.
+formatting and one %-format per block of rows replaces. basis_sweep
+star-multiplies every residual, zero or not, onto every basis monomial,
+which AlgebraReport.sweep's decision by the residual symbol replaces.
 """
 
 import csv
@@ -45,6 +47,8 @@ from phaseq import (
     PhasePolynomial,
     bandlimit,
     grid_star,
+    monomial_basis,
+    moyal_star,
 )
 from phaseq.parsing import _ALIASES, MAX_EXPONENT, ParseError, _Tokenizer
 
@@ -502,6 +506,18 @@ def tree_angular(mu: int, nu: int, metric=MOSTLY_MINUS):
         (1, compose(lowered_q(mu), tree_lowered_momentum(nu, metric))),
         (-1, compose(lowered_q(nu), tree_lowered_momentum(mu, metric))),
     )
+
+
+# ---------------------------------------------------------------------------
+# identity sweeps: every residual multiplied onto every basis monomial
+
+
+def basis_sweep(report, pairs, max_degree: int, metric: MetricSignature):
+    """Record residual * m for each (relation, residual) pair and each
+    monomial m of degree <= max_degree, monomial-major."""
+    for mono in monomial_basis(max_degree):
+        for relation, residual in pairs:
+            report.record(relation, mono, moyal_star(residual, mono, metric))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -319,6 +320,16 @@ def test_kg_check_exit_codes(tmp_path, capsys, monkeypatch):
         ["specfun-eval", "--function", "laguerre", "--x", "0:inf:3"],
         ["specfun-eval", "--function", "laguerre", "--x=-1e308:1e308:3"],
         ["kg-check", "--grid", "q0:8:1000:2000,q1:8:1000:2000"],
+        ["wigner", "--kind", "landau", "--box", "1e150", "--points", "8"],
+        ["wigner", "--kind", "landau", "--box", "1e-100", "--points", "8"],
+        ["wigner", "--grid", "q:8:-1e-200:1e-200,p:8:-1e-200:1e-200"],
+        ["kg-check", "--grid", "q0:8:-1e-200:1e-200,q1:8:-1e-200:1e-200"],
+        ["wigner", "--kind", "landau", "--n", "8", "--box", "1e40", "--points", "8"],
+        ["wigner", "--kind", "landau", "--n", "3", "--box", "1e60", "--points", "8"],
+        ["landau-reduce-check", "--n", "8", "--box", "1e40", "--points", "9"],
+        ["dirac-square", "--degree", "-1"],
+        ["algebra-check", "--degree", "0"],
+        ["casimir-check", "--degree-w2", "0"],
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -330,6 +341,28 @@ def test_domain_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, a
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["algebra-check"], "6743cf0ef905a376d2588e65bd203dfa273d7a384a9506b1c4985a288b78b93e"),
+        (["algebra-check", "--degree", "2", "--metric=-+++"],
+         "7935f57ccfacbfc916852af33f837322bedffdf43c67fc82ee5f6f988d987c79"),
+        (["casimir-check"], "98f273b0e58a673188eef5725192dab0c852eab4aecfc08d9d64e54d915270a1"),
+        (["casimir-check", "--degree-p2", "3", "--degree-w2", "2"],
+         "169e011fcea8a6fdb586415dcd2993290a0ab5afcb36e4489d784e92045af6dc"),
+        (["dirac-square"], "fb3ee9c874f0b9aaea33f1178c16a723d2e8d4cb8b55a3d4eaf9878a8f6b7cc4"),
+        (["dirac-square", "--metric=-+++"],
+         "fb3ee9c874f0b9aaea33f1178c16a723d2e8d4cb8b55a3d4eaf9878a8f6b7cc4"),
+    ],
+)
+def test_sweep_outputs_pinned(tmp_path, capsys, monkeypatch, argv, digest):
+    # the sha256 of each sweep's stdout, as printed by the multiply-everything sweep
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def run_or_exit(capsys, argv):

@@ -50,6 +50,33 @@ def test_axis_and_spec_validation():
         )
 
 
+def test_axis_refuses_a_spacing_whose_nyquist_square_overflows():
+    # (pi/h)^2 is 9.9e306 at h = 1e-153 and overflows at h = 1e-155; a
+    # spacing that underflows to 0 is refused the same way
+    Axis("q", 8, -4e-153, 4e-153)
+    for lo, hi in ((-4e-155, 4e-155), (0.0, 5e-324)):
+        with pytest.raises(ValueError, match="too fine"):
+            Axis("q", 8, lo, hi)
+
+
+def test_inner_product_refuses_a_cell_volume_outside_the_normal_floats():
+    # 8 points on [-box, box) per axis: the volume is (box/4)^4, and a
+    # field that is 1 at one point has that volume as its squared norm
+    def point_field(box):
+        spec = landau_grid(8, box)
+        values = np.zeros(spec.shape)
+        values[0, 0, 0, 0] = 1.0
+        return Field(spec, values)
+
+    for box, volume in ((4e-76, 1e-304), (4e77, 1e308)):
+        f = point_field(box)
+        assert inner_product(f, f) == pytest.approx(volume)
+    for box in (1e150, 1e-100, 4e-77):
+        f = point_field(box)
+        with pytest.raises(ValueError, match="cell volume"):
+            inner_product(f, f)
+
+
 def test_field_arithmetic_and_nan_guard():
     spec = qp_spec(8)
     f = Field.from_function(spec, lambda q, p: q + p)

@@ -10,6 +10,7 @@ from phaseq import (
     casimir_w2,
     check_casimirs,
     check_poincare_algebra,
+    dirac_square_check,
     levi_civita,
     commutator_on,
     monomial_basis,
@@ -18,7 +19,9 @@ from phaseq import (
     pauli_lubanski,
 )
 
-from oracles import tree_angular, tree_commutator, tree_lowered_momentum
+from oracles import basis_sweep, tree_angular, tree_commutator, tree_lowered_momentum
+
+METRICS = pytest.mark.parametrize("metric", [MOSTLY_MINUS, MOSTLY_PLUS], ids=["+---", "-+++"])
 
 
 def test_levi_civita():
@@ -137,3 +140,79 @@ def test_dropped_rhs_violations_match_oracle_trees():
         assert symbols.checked == trees.checked == 5 * len(basis)
         assert symbols.violations
         assert symbols.violations == trees.violations
+
+
+def _sweeps_made(monkeypatch, check, *args):
+    """A check's report and the (pairs, max_degree, metric) of every sweep it made."""
+    calls = []
+    sweep = AlgebraReport.sweep
+
+    def spy(report, pairs, max_degree, metric):
+        calls.append((list(pairs), max_degree, metric))
+        sweep(report, pairs, max_degree, metric)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(AlgebraReport, "sweep", spy)
+        report = check(*args)
+    return report, calls
+
+
+def _assert_routes_agree(calls):
+    """AlgebraReport.sweep and the multiply-everything route give one report."""
+    fast, reference = AlgebraReport(), AlgebraReport()
+    for pairs, max_degree, metric in calls:
+        fast.sweep(pairs, max_degree, metric)
+        basis_sweep(reference, pairs, max_degree, metric)
+    assert fast.checked == reference.checked
+    assert fast.violations == reference.violations
+    return fast
+
+
+@METRICS
+def test_sweep_matches_reference_route_on_passing_relations(monkeypatch, metric):
+    for check, args, relations in (
+        (check_poincare_algebra, (2, metric), 70),
+        (check_casimirs, (2, 1, metric), 20),
+        (dirac_square_check, (2, metric), 16),
+    ):
+        report, calls = _sweeps_made(monkeypatch, check, *args)
+        assert sum(len(pairs) for pairs, _, _ in calls) == relations
+        fast = _assert_routes_agree(calls)
+        assert report.passed and not fast.violations
+        assert report.checked == fast.checked
+
+
+@METRICS
+def test_sweep_matches_reference_route_on_dropped_rhs_relations(metric):
+    # one call with zero and nonzero residuals mixed keeps the
+    # monomial-major order; one call per relation keeps relation-major order
+    P = [p_var(mu).scale(metric[mu]) for mu in range(4)]
+    M = {pair: angular_generator(*pair, metric) for pair in ((0, 1), (1, 2), (2, 3))}
+    relations = [(f"[M_01,P_{sigma}]", M[0, 1], P[sigma]) for sigma in range(4)]
+    relations.append(("[M_12,M_23]", M[1, 2], M[2, 3]))
+    one = PhasePolynomial.constant(1)
+    pairs = [(rel, commutator_on(a, b, one, metric)) for rel, a, b in relations]
+    assert {res.is_zero() for _, res in pairs} == {True, False}
+    for calls in ([(pairs, 2, metric)], [([pair], 2, metric) for pair in pairs]):
+        fast = _assert_routes_agree(calls)
+        assert fast.checked == 5 * 45
+        assert fast.violations
+
+
+@METRICS
+def test_sweep_matches_reference_route_on_a_perturbed_dirac_residual(monkeypatch, metric):
+    _, [(pairs, max_degree, _)] = _sweeps_made(monkeypatch, dirac_square_check, 2, metric)
+    relation, residual = pairs[6]
+    pairs[6] = (relation, residual + p_var(1) * p_var(2))
+    fast = _assert_routes_agree([(pairs, max_degree, metric)])
+    assert fast.checked == 16 * 45
+    assert {v["relation"] for v in fast.violations} == {relation}
+    assert len(fast.violations) == 45
+
+
+def test_sweep_refuses_a_negative_degree_and_counts_zero_residuals():
+    report = AlgebraReport()
+    with pytest.raises(ValueError, match="max_degree must be nonnegative"):
+        report.sweep([("zero", PhasePolynomial.zero())], -1, MOSTLY_MINUS)
+    report.sweep([("zero", PhasePolynomial.zero())] * 2, 8, MOSTLY_MINUS)
+    assert report.checked == 2 * 12870 and report.passed
