@@ -176,8 +176,8 @@ def _cmd_casimir_check(args):
 def _load_gamma_file(path, metric) -> GammaRep:
     """Read four gamma matrices from JSON: {"gamma": [[[re, im], ...x4]x4]x4}.
 
-    Entries are strings or numbers accepted by Fraction. Used to exercise
-    clifford-check on externally supplied (possibly wrong) matrices; any
+    Entries are strings or numbers accepted by Fraction. The matrices are
+    checked as a representation in their own basis under `metric`; any
     other shape is a ValueError.
     """
     with open(path) as fh:
@@ -212,14 +212,7 @@ def _load_gamma_file(path, metric) -> GammaRep:
         )
     except ZeroDivisionError:
         raise ValueError(f"{path}: an entry has a zero denominator") from None
-    reference = standard_gamma_rep(metric)
-    return GammaRep(
-        gammas,
-        reference.gamma5,
-        reference.alpha,
-        reference.sigma_big,
-        metric,
-    )
+    return GammaRep(gammas, metric)
 
 
 def _cmd_clifford_check(args):
@@ -247,6 +240,10 @@ def _cmd_kg_check(args):
         raise ValueError(
             f"--width must be positive with a finite nonzero square, got {args.width}"
         )
+    for option in ("p0", "p1", "mass"):
+        value = getattr(args, option)
+        if not math.isfinite(value * value):
+            raise ValueError(f"--{option} must be finite with a finite square, got {value}")
     metric = _METRICS[args.metric_label]
     signs = (metric[0], metric[1])
     phi = Field.from_function(
@@ -381,17 +378,18 @@ def _cmd_wigner(args):
         amp = Field.from_function(
             spec, lambda q, p: np.exp(-(q * q + p * p))
         )
-        fw = wigner_from_amplitude(amp)
-        reference = bandlimit(amp)
-        norm2 = inner_product(reference, reference).real
-        realness_tol, trace_tol = 1e-8, 1e-6
+        wigner, weight, realness_tol, trace_tol = wigner_from_amplitude, 1.0, 1e-8, 1e-6
     else:
         spec = landau_grid(args.points, args.box)
         amp = landau_amplitude(args.n, LandauParams(args.eB, args.s), spec)
-        fw = wigner_landau(amp)
-        amp = bandlimit(amp)
-        norm2 = 2.0 * inner_product(amp, amp).real
-        realness_tol, trace_tol = 1e-6, 1e-3
+        wigner, weight, realness_tol, trace_tol = wigner_landau, 2.0, 1e-6, 1e-3
+    if not np.any(amp.values):
+        raise ValueError(
+            "the amplitude is zero at every grid point, so its Wigner function has no scale"
+        )
+    fw = wigner(amp)
+    amp = bandlimit(amp)
+    norm2 = weight * inner_product(amp, amp).real
     ones = Field(spec, np.ones(spec.shape))
     trace = inner_product(ones, fw).real
     realness = float(np.max(np.abs(fw.values.imag))) / fw.max_abs()
@@ -412,15 +410,22 @@ def _cmd_specfun_eval(args):
         raise ValueError("--x wants min:max:count")
     lo, hi, count = float(bits[0]), float(bits[1]), int(bits[2])
     xs = _table_points(lo, hi, count, "--x")
+    if not (math.isfinite(args.a) and math.isfinite(args.b)):
+        raise ValueError(f"--a and --b must be finite, got a = {args.a}, b = {args.b}")
     if args.function == "kummer-m":
         fn = lambda x: kummer_m(args.a, args.b, x)
     elif args.function == "kummer-u":
         fn = lambda x: kummer_u(args.a, args.b, x)
     else:
         fn = lambda x: laguerre(args.n, x)
-    rows = ["x,value"]
-    for x in xs:
-        rows.append(f"{_fmt(x)},{_fmt(fn(float(x)))}")
+    values = [fn(float(x)) for x in xs]
+    bad = [x for x, v in zip(xs, values) if not math.isfinite(v)]
+    if bad:
+        raise ValueError(
+            f"the {args.function} table is not finite in float arithmetic "
+            f"at x = {_fmt(bad[0])}; narrow --x"
+        )
+    rows = ["x,value"] + [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, values)]
     return True, _emit(args, "\n".join(rows) + "\n")
 
 
@@ -555,6 +560,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_tolerances(args):
+    """Refuse a --tol or --imag-tol that is negative or not finite."""
+    for dest in ("tol", "imag_tol"):
+        value = getattr(args, dest, 0.0)
+        if not 0 <= value < math.inf:
+            option = "--" + dest.replace("_", "-")
+            raise ValueError(f"{option} must be finite and >= 0, got {value}")
+
+
 def _attach_dash_values(parser, argv):
     """Join a `-`-leading token to the value-taking option before it.
 
@@ -593,6 +607,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_dash_values(parser, argv))
     start = time.perf_counter()
     try:
+        _check_tolerances(args)
         passed, outputs = args.handler(args)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

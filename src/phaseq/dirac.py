@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
 from .algebra import (
     CR_I,
@@ -105,21 +106,19 @@ def _kron(a, b) -> Matrix:
 
 @dataclass(frozen=True)
 class GammaRep:
-    """Dirac representation: gamma^0 = diag(I,-I), gamma^i off-diagonal Pauli blocks."""
+    """A representation of the Clifford algebra: four gammas and the metric of
+    {gamma^mu, gamma^nu} = 2 g^{mu nu} I. Sigma blocks, alpha, Sigma and gamma5
+    are derived from the gammas, never stored."""
 
     gamma: tuple  # (gamma^0, gamma^1, gamma^2, gamma^3)
-    gamma5: Matrix
-    alpha: tuple  # (alpha^1, alpha^2, alpha^3)
-    sigma_big: tuple  # (Sigma^1, Sigma^2, Sigma^3)
     metric: MetricSignature
 
 
 @lru_cache(maxsize=2)
 def standard_gamma_rep(metric: MetricSignature = MOSTLY_MINUS) -> GammaRep:
-    """The Dirac-basis gamma matrices.
+    """The Dirac-basis gamma matrices: gamma^0 = sigma_3 x I and gamma^k =
+    (i sigma_2) x sigma_k.
 
-    gamma^0 = sigma_3 x I, gamma^k = (i sigma_2) x sigma_k, gamma^5 =
-    sigma_1 x I, alpha^k = sigma_1 x sigma_k and Sigma^k = I x sigma_k.
     With the mostly-minus metric these are the textbook matrices; for the
     mostly-plus metric every gamma is multiplied by i so that the Clifford
     relation {gamma^mu, gamma^nu} = 2 g^{mu nu} I still holds entrywise.
@@ -129,95 +128,94 @@ def standard_gamma_rep(metric: MetricSignature = MOSTLY_MINUS) -> GammaRep:
     gammas = (_kron(_PAULI[2], _I2),) + tuple(_kron(_I_SIGMA2, s) for s in _PAULI)
     if metric == MOSTLY_PLUS:
         gammas = tuple(mat_scale(CR_I, g) for g in gammas)
-    gamma5 = _kron(_PAULI[0], _I2)
-    alpha = tuple(_kron(_PAULI[0], s) for s in _PAULI)
-    sigma_big = tuple(_kron(_I2, s) for s in _PAULI)
-    return GammaRep(gammas, gamma5, alpha, sigma_big, metric)
+    return GammaRep(gammas, metric)
+
+
+def _products(rep: GammaRep) -> list:
+    """The 16 products gamma^mu gamma^nu, indexed [mu][nu]."""
+    return [[mat_mul(a, b, rep.metric) for b in rep.gamma] for a in rep.gamma]
+
+
+def _sigma_block(products: list, mu: int, nu: int) -> Matrix:
+    """sigma^{mu nu} = (i/2) (gamma^mu gamma^nu - gamma^nu gamma^mu), from _products."""
+    commutator = mat_sub(products[mu][nu], products[nu][mu])
+    return mat_scale(ComplexRational(Fraction(0), Fraction(1, 2)), commutator)
+
+
+def _derived_tables(products: list, metric: MetricSignature) -> tuple:
+    """(gamma5, alpha, Sigma) from the gamma products: gamma5 = i gamma^0
+    gamma^1 gamma^2 gamma^3, alpha^j = g_00 gamma^0 gamma^j, Sigma^k = gamma5 alpha^k."""
+    gamma5 = mat_scale(CR_I, mat_mul(products[0][1], products[2][3], metric))
+    alpha = tuple(mat_scale(metric[0], products[0][j]) for j in (1, 2, 3))
+    return gamma5, alpha, tuple(mat_mul(gamma5, a, metric) for a in alpha)
 
 
 def sigma(mu: int, nu: int, rep: GammaRep) -> Matrix:
     """sigma^{mu nu} = (i/2) [gamma^mu, gamma^nu]."""
     if not (0 <= mu < 4 and 0 <= nu < 4):
         raise ValueError("index out of range")
-    comm = mat_sub(
-        mat_mul(rep.gamma[mu], rep.gamma[nu], rep.metric),
-        mat_mul(rep.gamma[nu], rep.gamma[mu], rep.metric),
-    )
-    return mat_scale(ComplexRational(Fraction(0), Fraction(1, 2)), comm)
+    return _sigma_block(_products(rep), mu, nu)
 
 
 def gamma_product_decomposition(rep: GammaRep) -> ComplexRational:
     """The unique c with gamma^mu gamma^nu = g^{mu nu} I + c sigma^{mu nu} for all mu != nu.
 
-    Raises ValueError when no consistent c exists (a broken representation).
+    The off-diagonal metric vanishes, so c is read from one nonzero entry
+    of sigma^{01}, and every product must equal c sigma^{mu nu} exactly.
+    Raises ValueError when sigma^{01} is zero or no consistent c exists (a
+    broken representation).
     """
-    candidate = None
-    for mu in range(4):
-        for nu in range(4):
-            if mu == nu:
-                continue
-            prod = mat_mul(rep.gamma[mu], rep.gamma[nu], rep.metric)
-            sig = sigma(mu, nu, rep)
-            # off-diagonal metric vanishes, so prod must equal c * sigma
-            local = None
-            for i in range(4):
-                for j in range(4):
-                    s_ij = sig[i][j].constant_term()
-                    p_ij = prod[i][j].constant_term()
-                    if s_ij.is_zero():
-                        if not p_ij.is_zero():
-                            raise ValueError("no consistent decomposition constant")
-                        continue
-                    ratio = p_ij / s_ij
-                    if local is None:
-                        local = ratio
-                    elif local != ratio:
-                        raise ValueError("no consistent decomposition constant")
-            if local is None:
-                raise ValueError("degenerate sigma block")
-            if candidate is None:
-                candidate = local
-            elif candidate != local:
-                raise ValueError("no consistent decomposition constant")
-    return candidate
+    products = _products(rep)
+    s01 = _sigma_block(products, 0, 1)
+    nonzero = [(i, j) for i in range(4) for j in range(4) if not s01[i][j].is_zero()]
+    if not nonzero:
+        raise ValueError("degenerate sigma block")
+    i, j = nonzero[0]
+    c = products[0][1][i][j].constant_term() / s01[i][j].constant_term()
+    for mu, nu in permutations(range(4), 2):
+        if products[mu][nu] != mat_scale(c, _sigma_block(products, mu, nu)):
+            raise ValueError("no consistent decomposition constant")
+    return c
 
 
 def clifford_report(rep: GammaRep) -> dict:
     """Check a representation's Clifford relation, sigma blocks, decomposition
     constant and gamma5 exactly.
 
-    Returns {"pass", "failures", "decomposition_constant"}: one failure
-    string per identity that does not hold, and the constant of
-    gamma_product_decomposition as str(complex), or None with a
-    "decomposition: ..." failure when it is inconsistent.
+    alpha, Sigma and gamma5 come from the representation's own gammas
+    (_derived_tables), so every representation of the Clifford algebra with
+    its metric passes, in any basis. Returns {"pass", "failures",
+    "decomposition_constant"}: one failure string per identity that does not
+    hold, and gamma_product_decomposition's constant as str(complex), or
+    None with a "decomposition: ..." failure when it is inconsistent.
     """
     metric = rep.metric
+    products = _products(rep)
+    gamma5, alpha, sigma_big = _derived_tables(products, metric)
     failures = []
     for mu in range(4):
         for nu in range(4):
             want = mat_scale(2 * metric[mu] if mu == nu else 0, mat_identity())
-            if anticommutator(rep.gamma[mu], rep.gamma[nu], metric) != want:
+            if mat_add(products[mu][nu], products[nu][mu]) != want:
                 failures.append(f"anticommutator({mu},{nu})")
-    # the mostly-plus gammas carry an extra factor of i each, so every
-    # sigma block flips sign relative to the mostly-minus convention
+    # sigma^{0j} = i g_00 alpha^j and sigma^{ij} = g_00 Sigma^k for cyclic
+    # (i, j, k), under either metric
     flip = metric[0]
-    for j in range(3):
-        if sigma(0, j + 1, rep) != mat_scale(CR_I * flip, rep.alpha[j]):
-            failures.append(f"sigma(0,{j + 1}) != {flip:+d}*i*alpha^{j + 1}")
-    spatial = {(1, 2): 2, (2, 3): 0, (3, 1): 1}
-    for (i, j), k in spatial.items():
-        if sigma(i, j, rep) != mat_scale(flip, rep.sigma_big[k]):
+    for j in range(1, 4):
+        if _sigma_block(products, 0, j) != mat_scale(CR_I * flip, alpha[j - 1]):
+            failures.append(f"sigma(0,{j}) != {flip:+d}*i*alpha^{j}")
+    for (i, j), k in {(1, 2): 2, (2, 3): 0, (3, 1): 1}.items():
+        if _sigma_block(products, i, j) != mat_scale(flip, sigma_big[k]):
             failures.append(f"sigma({i},{j}) != {flip:+d}*Sigma^{k + 1}")
     try:
         const_str = str(gamma_product_decomposition(rep).to_complex())
     except ValueError as exc:
         failures.append(f"decomposition: {exc}")
         const_str = None
-    g5 = rep.gamma5
-    if mat_mul(g5, g5, metric) != mat_identity():
+    if mat_mul(gamma5, gamma5, metric) != mat_identity():
         failures.append("gamma5^2 != I")
     for mu in range(4):
-        if anticommutator(g5, rep.gamma[mu], metric) != mat_zero():
+        if anticommutator(gamma5, rep.gamma[mu], metric) != mat_zero():
             failures.append(f"gamma5 anticommutator with gamma^{mu}")
     return {
         "pass": not failures,

@@ -18,9 +18,11 @@ integer-coded Moyal star (one common denominator per factor, one
 Fraction pair per output term) replaces, and constant_matrix_product, the
 4x4 product of tuple matrices of ComplexRational that the spinor layer's
 one matrix product (entries are symbols, multiplied by the star product)
-replaces for constant matrices. spinor_wigner_sum is the per-component
-Hermitian spinor Wigner sum that wigner_landau's single grid star replaces,
-and laguerre_coefficients gives the exact rational power-basis
+replaces for constant matrices. dirac_basis_tables gives the textbook
+Kronecker tables of gamma5, alpha and Sigma, against which the tables
+clifford_report derives from the gammas are checked. spinor_wigner_sum is
+the per-component Hermitian spinor Wigner sum that wigner_landau's single
+grid star replaces, and laguerre_coefficients gives the exact rational power-basis
 coefficients of L_n, evaluated in Fraction arithmetic, against which the
 generalized-Laguerre recurrence of the Landau eigenfunctions is checked.
 row_by_row_field_csv is the CSV field dump written one csv.writer row and
@@ -447,6 +449,30 @@ def constant_matrix_product(a, b):
             sum((a[i][k] * b[k][j] for k in range(4)), CR_ZERO) for j in range(4)
         )
         for i in range(4)
+    )
+
+
+# the 2x2 identity and the Pauli matrices, as tables of 0, +-1 and +-1j
+_I2 = ((1, 0), (0, 1))
+_PAULI = (((0, 1), (1, 0)), ((0, -1j), (1j, 0)), ((1, 0), (0, -1)))
+
+
+def _kron(a, b):
+    """The Kronecker product of two 2x2 tables, as a 4x4 matrix of constant symbols."""
+    return tuple(
+        tuple(PhasePolynomial.constant(a[i // 2][j // 2] * b[i % 2][j % 2]) for j in range(4))
+        for i in range(4)
+    )
+
+
+def dirac_basis_tables():
+    """The textbook Dirac-basis (gamma5, (alpha^1..3), (Sigma^1..3)):
+    gamma5 = sigma_1 x I, alpha^k = sigma_1 x sigma_k and Sigma^k = I x sigma_k,
+    the same under either metric."""
+    return (
+        _kron(_PAULI[0], _I2),
+        tuple(_kron(_PAULI[0], s) for s in _PAULI),
+        tuple(_kron(_I2, s) for s in _PAULI),
     )
 
 

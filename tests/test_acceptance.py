@@ -54,7 +54,13 @@ from phaseq.dirac import (
     mat_scale,
 )
 
-from oracles import bopp_momentum, bopp_position, random_poly, tree_commutator
+from oracles import (
+    bopp_momentum,
+    bopp_position,
+    dirac_basis_tables,
+    random_poly,
+    tree_commutator,
+)
 
 METRICS = (MOSTLY_MINUS, MOSTLY_PLUS)
 
@@ -137,11 +143,12 @@ def test_criterion_04_clifford_and_sigma_blocks():
                 if anticommutator(rep.gamma[mu], rep.gamma[nu]) != want:
                     failures.append(f"{metric.label()} anticomm({mu},{nu})")
     rep = standard_gamma_rep(MOSTLY_MINUS)
+    _, alpha, sigma_big = dirac_basis_tables()
     for j in range(3):
-        if sigma(0, j + 1, rep) != mat_scale(CR_I, rep.alpha[j]):
+        if sigma(0, j + 1, rep) != mat_scale(CR_I, alpha[j]):
             failures.append(f"sigma(0,{j + 1})")
     for (i, j), k in {(1, 2): 2, (2, 3): 0, (3, 1): 1}.items():
-        if sigma(i, j, rep) != rep.sigma_big[k]:
+        if sigma(i, j, rep) != sigma_big[k]:
             failures.append(f"sigma({i},{j})")
     try:
         const = gamma_product_decomposition(rep)

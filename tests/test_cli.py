@@ -1,6 +1,9 @@
 import argparse
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +140,36 @@ def test_clifford_check_stdout_pinned(tmp_path, capsys, monkeypatch, metric):
         '  "pass": true\n'
         "}\n"
     )
+
+
+def _weyl_gammas(scale):
+    """scale times the Weyl (chiral) basis, gamma^0 = sigma_1 x I and gamma^k =
+    (i sigma_2) x sigma_k, as --gamma-file [re, im] string pairs."""
+    pauli = (((0, 1), (1, 0)), ((0, -1j), (1j, 0)), ((1, 0), (0, -1)))
+    blocks = [(pauli[0], ((1, 0), (0, 1)))] + [(((0, 1), (-1, 0)), s) for s in pauli]
+
+    def entry(value):
+        return [str(int(value.real)), str(int(value.imag))]
+
+    return [
+        [[entry(scale * a[i // 2][j // 2] * b[i % 2][j % 2]) for j in range(4)] for i in range(4)]
+        for a, b in blocks
+    ]
+
+
+@pytest.mark.parametrize(
+    "metric, scale", [("+---", 1), ("-+++", 1j)], ids=["weyl +---", "i*weyl -+++"]
+)
+def test_clifford_check_passes_weyl_basis(tmp_path, capsys, monkeypatch, metric, scale):
+    # a representation in another basis passes: alpha, Sigma and gamma5 are
+    # derived from the supplied gammas, not borrowed from the Dirac basis
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "weyl.json").write_text(json.dumps({"gamma": _weyl_gammas(scale)}))
+    code, out, err = run(
+        capsys, "clifford-check", "--gamma-file", "weyl.json", f"--metric={metric}"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"decomposition_constant": "-1j", "failures": [], "pass": True}
 
 
 _GAMMA_ROWS = [[["1", 0] if i == j else [0, 0] for j in range(4)] for i in range(4)]
@@ -330,6 +363,20 @@ def test_kg_check_exit_codes(tmp_path, capsys, monkeypatch):
         ["dirac-square", "--degree", "-1"],
         ["algebra-check", "--degree", "0"],
         ["casimir-check", "--degree-w2", "0"],
+        ["wigner", "--grid", "q:8:30:40,p:8:30:40"],
+        ["specfun-eval", "--function", "kummer-u", "--a", "nan", "--x", "1:2:3"],
+        ["specfun-eval", "--function", "kummer-u", "--a", "inf", "--x", "1:2:3"],
+        ["specfun-eval", "--function", "kummer-m", "--b", "nan", "--x", "0:1:2"],
+        ["specfun-eval", "--function", "laguerre", "--n", "3", "--x", "0:1e300:3"],
+        ["specfun-eval", "--function", "kummer-u", "--a", "-3", "--x", "0:1e300:3"],
+        ["kg-check", "--mass", "inf"],
+        ["kg-check", "--p1", "1e200"],
+        ["kg-check", "--p0", "nan"],
+        ["kg-check", "--tol", "nan"],
+        ["kg-check", "--tol", "-1"],
+        ["landau-eigen", "--tol", "nan"],
+        ["landau-reduce-check", "--tol", "nan"],
+        ["landau-reduce-check", "--imag-tol", "nan"],
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -538,3 +585,22 @@ def test_manifest_params_are_the_option_dests(tmp_path, capsys, monkeypatch, com
     } - {"help", "out", "manifest", "metric_label"}
     argv, _ = _PARAMS_ROWS[command]
     assert set(_manifest_params(tmp_path, capsys, monkeypatch, argv)) == dests
+
+
+def _readme_command_lines():
+    """The `phaseq ...` lines of README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("phaseq ")]
+
+
+@pytest.mark.parametrize("line", _readme_command_lines(), ids=lambda line: line.split()[1])
+def test_readme_command_line_examples_run(tmp_path, capsys, monkeypatch, line):
+    # optional [...] groups are dropped; a trailing "# result" is the expected stdout
+    monkeypatch.chdir(tmp_path)
+    command, _, result = line.partition("#")
+    argv = shlex.split(re.sub(r"\[[^\]]*\]", "", command))[1:]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    if result:
+        assert out == result.strip() + "\n"

@@ -9,6 +9,7 @@ from phaseq import (
     MOSTLY_MINUS,
     MOSTLY_PLUS,
     ComplexRational,
+    GammaRep,
     MetricSignature,
     PhasePolynomial,
     clifford_report,
@@ -20,6 +21,8 @@ from phaseq import (
     standard_gamma_rep,
 )
 from phaseq.dirac import (
+    _derived_tables,
+    _products,
     anticommutator,
     mat_add,
     mat_identity,
@@ -29,7 +32,7 @@ from phaseq.dirac import (
     mat_zero,
 )
 
-from oracles import constant_matrix_product
+from oracles import constant_matrix_product, dirac_basis_tables
 
 METRICS = (MOSTLY_MINUS, MOSTLY_PLUS)
 
@@ -47,21 +50,30 @@ def test_clifford_relation_exact():
 
 
 def test_gamma5_properties():
+    gamma5 = dirac_basis_tables()[0]
     for metric in METRICS:
         rep = standard_gamma_rep(metric)
-        assert mat_mul(rep.gamma5, rep.gamma5) == mat_identity()
+        assert mat_mul(gamma5, gamma5) == mat_identity()
         for mu in range(4):
-            assert anticommutator(rep.gamma5, rep.gamma[mu]) == mat_zero()
+            assert anticommutator(gamma5, rep.gamma[mu]) == mat_zero()
 
 
 def test_sigma_block_structure():
+    _, alpha, sigma_big = dirac_basis_tables()
     rep = standard_gamma_rep(MOSTLY_MINUS)
     for j in range(3):
-        want = mat_scale(CR_I, rep.alpha[j])
+        want = mat_scale(CR_I, alpha[j])
         assert sigma(0, j + 1, rep) == want
     for (i, j), k in {(1, 2): 2, (2, 3): 0, (3, 1): 1}.items():
-        assert sigma(i, j, rep) == rep.sigma_big[k]
-        assert sigma(j, i, rep) == mat_scale(-1, rep.sigma_big[k])
+        assert sigma(i, j, rep) == sigma_big[k]
+        assert sigma(j, i, rep) == mat_scale(-1, sigma_big[k])
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.label())
+def test_derived_tables_match_dirac_basis_oracle(metric):
+    # gamma5 = i g0 g1 g2 g3, alpha^j = g_00 g0 gj and Sigma^k = gamma5 alpha^k
+    # of the standard gammas are the textbook Kronecker tables under both metrics
+    assert _derived_tables(_products(standard_gamma_rep(metric)), metric) == dirac_basis_tables()
 
 
 def test_standard_gamma_rep_is_cached_per_metric():
@@ -100,13 +112,7 @@ def test_gamma_product_decomposition_constant():
 def test_broken_representation_rejected():
     rep = standard_gamma_rep(MOSTLY_MINUS)
     bad_g3 = mat_add(rep.gamma[3], mat_scale(CR_I, mat_identity()))
-    broken = type(rep)(
-        (rep.gamma[0], rep.gamma[1], rep.gamma[2], bad_g3),
-        rep.gamma5,
-        rep.alpha,
-        rep.sigma_big,
-        rep.metric,
-    )
+    broken = GammaRep((rep.gamma[0], rep.gamma[1], rep.gamma[2], bad_g3), rep.metric)
     with pytest.raises(ValueError):
         gamma_product_decomposition(broken)
 
@@ -143,9 +149,10 @@ def _product_families():
     rng = random.Random(14)
     mats = [_random_constant_matrix(rng) for _ in range(20)]
     families = {"random": [(mats[i], mats[(i + 1) % 20]) for i in range(20)]}
+    gamma5, alpha, sigma_big = dirac_basis_tables()  # the same tables under either metric
     for metric in METRICS:
         rep = standard_gamma_rep(metric)
-        extras = (rep.gamma5,) + rep.alpha + rep.sigma_big
+        extras = (gamma5,) + alpha + sigma_big
         families[f"gamma pairs {metric.label()}"] = list(product(rep.gamma, repeat=2))
         families[f"gamma5 alpha Sigma {metric.label()}"] = list(product(extras, repeat=2))
     return families
@@ -186,7 +193,9 @@ def test_clifford_report_perturbed_gamma3():
     rows = [list(row) for row in rep.gamma[3]]
     rows[3][1] = PhasePolynomial.constant(7)
     bad_g3 = tuple(tuple(row) for row in rows)
-    broken = type(rep)(rep.gamma[:3] + (bad_g3,), rep.gamma5, rep.alpha, rep.sigma_big, rep.metric)
+    broken = GammaRep(rep.gamma[:3] + (bad_g3,), rep.metric)
+    # alpha, Sigma and gamma5 are derived from the broken gammas, so the
+    # bad entry reaches gamma5 (through gamma^2 gamma^3) and every Sigma^k
     assert clifford_report(broken) == {
         "pass": False,
         "failures": [
@@ -195,11 +204,13 @@ def test_clifford_report_perturbed_gamma3():
             "anticommutator(3,1)",
             "anticommutator(3,2)",
             "anticommutator(3,3)",
-            "sigma(0,3) != +1*i*alpha^3",
+            "sigma(1,2) != +1*Sigma^3",
             "sigma(2,3) != +1*Sigma^1",
             "sigma(3,1) != +1*Sigma^2",
             "decomposition: no consistent decomposition constant",
-            "gamma5 anticommutator with gamma^3",
+            "gamma5^2 != I",
+            "gamma5 anticommutator with gamma^1",
+            "gamma5 anticommutator with gamma^2",
         ],
         "decomposition_constant": None,
     }
