@@ -14,6 +14,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -314,6 +315,11 @@ def _cmd_landau_eigen(args):
             f"the eigenfunction table for n = {args.n} at eB = {_fmt(args.eB)} "
             "is not finite in float arithmetic; use a larger --eB"
         )
+    if np.all(vals == vals[0]):
+        raise ValueError(
+            f"phi is {_fmt(vals[0])} on every row up to --z-max {args.z_max}, "
+            "so the table checks nothing of its shape; use a larger --z-max"
+        )
     rel_res = float(np.max(np.abs(residual))) / float(np.max(np.abs(vals)))
     passed = rel_res <= args.tol and abs(rq - kappa) <= 1e-7 * kappa
     rows = ["z,phi,ode_residual"]
@@ -560,6 +566,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The one parser every main call in a process uses. Its handlers are the
+    module's own functions, which look up library names when they run."""
+    return build_parser()
+
+
 def _check_tolerances(args):
     """Refuse a --tol or --imag-tol that is negative or not finite."""
     for dest in ("tol", "imag_tol"):
@@ -602,7 +615,7 @@ def _attach_dash_values(parser, argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_attach_dash_values(parser, argv))
     start = time.perf_counter()

@@ -136,10 +136,14 @@ def _products(rep: GammaRep) -> list:
     return [[mat_mul(a, b, rep.metric) for b in rep.gamma] for a in rep.gamma]
 
 
+def _half_i_commutator(ab: Matrix, ba: Matrix) -> Matrix:
+    """(i/2) (ab - ba): sigma^{mu nu} from gamma^mu gamma^nu and gamma^nu gamma^mu."""
+    return mat_scale(ComplexRational(Fraction(0), Fraction(1, 2)), mat_sub(ab, ba))
+
+
 def _sigma_block(products: list, mu: int, nu: int) -> Matrix:
-    """sigma^{mu nu} = (i/2) (gamma^mu gamma^nu - gamma^nu gamma^mu), from _products."""
-    commutator = mat_sub(products[mu][nu], products[nu][mu])
-    return mat_scale(ComplexRational(Fraction(0), Fraction(1, 2)), commutator)
+    """sigma^{mu nu} from the 16 gamma products of _products."""
+    return _half_i_commutator(products[mu][nu], products[nu][mu])
 
 
 def _derived_tables(products: list, metric: MetricSignature) -> tuple:
@@ -151,10 +155,11 @@ def _derived_tables(products: list, metric: MetricSignature) -> tuple:
 
 
 def sigma(mu: int, nu: int, rep: GammaRep) -> Matrix:
-    """sigma^{mu nu} = (i/2) [gamma^mu, gamma^nu]."""
+    """sigma^{mu nu} = (i/2) [gamma^mu, gamma^nu], from the two products it needs."""
     if not (0 <= mu < 4 and 0 <= nu < 4):
         raise ValueError("index out of range")
-    return _sigma_block(_products(rep), mu, nu)
+    a, b, metric = rep.gamma[mu], rep.gamma[nu], rep.metric
+    return _half_i_commutator(mat_mul(a, b, metric), mat_mul(b, a, metric))
 
 
 def gamma_product_decomposition(rep: GammaRep) -> ComplexRational:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -219,15 +220,26 @@ def reduced_ode_apply(phi, params: LandauParams, z):
     return z * vals - eB2 * d1 - eB2 * z * d2
 
 
+@lru_cache(maxsize=1)
+def _gauss_legendre_400() -> tuple:
+    """The 400-point Gauss-Legendre nodes and weights on [-1, 1], built on
+    first use (not at import) and read-only, since every caller shares them."""
+    x, w = leggauss(400)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def rayleigh_quotient(phi, params: LandauParams) -> float:
     """Eigenvalue estimate <phi, Op phi> / <phi, phi> on z in [0, 30 eB].
 
     The reduced operator z phi - (eB)^2 (z phi')' is self-adjoint with
-    unit weight in z. Quadrature is 400-point Gauss-Legendre; analytic
-    derivatives are used when phi is a LandauEigenfunction.
+    unit weight in z. Quadrature is 400-point Gauss-Legendre, its rule
+    built once per process; analytic derivatives are used when phi is a
+    LandauEigenfunction.
     """
     z_max = 30.0 * params.eB
-    x, w = leggauss(400)
+    x, w = _gauss_legendre_400()
     z = 0.5 * z_max * (x + 1.0)
     w = 0.5 * z_max * w
     op = reduced_ode_apply(phi, params, z)

@@ -30,6 +30,8 @@ six format calls per grid point, which write_field_csv's per-axis
 formatting and one %-format per block of rows replaces. basis_sweep
 star-multiplies every residual, zero or not, onto every basis monomial,
 which AlgebraReport.sweep's decision by the residual symbol replaces.
+rayleigh_quotient_fresh builds its 400-point Gauss-Legendre rule on every
+call, which rayleigh_quotient's one rule per process replaces.
 """
 
 import csv
@@ -39,18 +41,21 @@ from itertools import product
 from math import comb, factorial, prod
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from phaseq import (
     CR_ZERO,
     MOSTLY_MINUS,
     ComplexRational,
     Field,
+    LandauParams,
     MetricSignature,
     PhasePolynomial,
     bandlimit,
     grid_star,
     monomial_basis,
     moyal_star,
+    reduced_ode_apply,
 )
 from phaseq.parsing import _ALIASES, MAX_EXPONENT, ParseError, _Tokenizer
 
@@ -672,3 +677,18 @@ def row_by_row_field_csv(f: Field, path):
                     format(float(values[row].imag), ".17g"),
                 ]
             )
+
+
+def rayleigh_quotient_fresh(phi, params: LandauParams) -> float:
+    """<phi, Op phi> / <phi, phi> on z in [0, 30 eB], with a 400-point
+    Gauss-Legendre rule built for this call."""
+    z_max = 30.0 * params.eB
+    x, w = leggauss(400)
+    z = 0.5 * z_max * (x + 1.0)
+    w = 0.5 * z_max * w
+    op = reduced_ode_apply(phi, params, z)
+    vals = phi(z)
+    denom = float(np.sum(w * vals * vals))
+    if abs(denom) < 1e-300:
+        raise ZeroDivisionError("vanishing norm in Rayleigh quotient")
+    return float(np.sum(w * vals * op)) / denom

@@ -1,8 +1,11 @@
 import argparse
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -234,6 +237,18 @@ def test_landau_eigen(tmp_path, capsys, monkeypatch):
     assert "pass=true" in err
 
 
+def test_landau_eigen_small_span_with_distinct_phi_passes(tmp_path, capsys, monkeypatch):
+    # at --z-max 1e-12 the 301 rows still take 301 distinct values of phi,
+    # so the table is not refused as below the resolution of phi
+    monkeypatch.chdir(tmp_path)
+    out_path = tmp_path / "eig.csv"
+    code, _, err = run(capsys, "landau-eigen", "--z-max", "1e-12", "--out", str(out_path))
+    assert code == 0
+    assert "pass=true" in err
+    phi = [line.split(",")[1] for line in out_path.read_text().splitlines()[1:]]
+    assert len(set(phi)) == 301
+
+
 @pytest.mark.parametrize("eB", ["0.5", "1", "2"])
 @pytest.mark.parametrize("n", ["16", "40", "999"])
 def test_landau_eigen_high_levels_pass(tmp_path, capsys, monkeypatch, n, eB):
@@ -377,6 +392,8 @@ def test_kg_check_exit_codes(tmp_path, capsys, monkeypatch):
         ["landau-eigen", "--tol", "nan"],
         ["landau-reduce-check", "--tol", "nan"],
         ["landau-reduce-check", "--imag-tol", "nan"],
+        ["landau-eigen", "--z-max", "1e-300"],
+        ["landau-eigen", "--z-max", "1e-20", "--n", "2"],
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -604,3 +621,58 @@ def test_readme_command_line_examples_run(tmp_path, capsys, monkeypatch, line):
     assert code == 0
     if result:
         assert out == result.strip() + "\n"
+
+
+def _run_in_process(tmp_path, capsys, argv):
+    """Exit code, stdout, stderr and manifest params of one main call,
+    a SystemExit counted as its exit code."""
+    code, out, err = run_or_exit(capsys, argv)
+    manifest = tmp_path / f"{argv[0]}-manifest.json"
+    params = json.loads(manifest.read_text())["params"] if manifest.exists() else None
+    if manifest.exists():
+        manifest.unlink()
+    return code, out, err, params
+
+
+def test_shared_parser_leaks_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    # every _PARAMS_ROWS command twice in one process, with a usage error and
+    # --version in between; the second pass must repeat the first
+    monkeypatch.chdir(tmp_path)
+    first = [_run_in_process(tmp_path, capsys, argv) for argv, _ in _PARAMS_ROWS.values()]
+    code, _, err, _ = _run_in_process(tmp_path, capsys, ["landau-eigen", "--n", "x"])
+    assert code == 2 and "invalid int value" in err
+    code, out, _, _ = _run_in_process(tmp_path, capsys, ["--version"])
+    assert code == 0 and out.strip()
+    second = [_run_in_process(tmp_path, capsys, argv) for argv, _ in _PARAMS_ROWS.values()]
+    assert second == first
+    assert [row[3] for row in first] == [params for _, params in _PARAMS_ROWS.values()]
+
+
+def test_main_calls_share_one_parser(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    seen = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        seen.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    assert run(capsys, "landau-spectrum")[0] == 0
+    assert run(capsys, "landau-spectrum", "--n", "2")[0] == 0
+    assert len(seen) == 2 and seen[0] is seen[1]
+
+
+def test_import_builds_neither_the_parser_nor_the_quadrature_rule():
+    # both are built on first use, so importing the CLI computes nothing
+    code = (
+        "import phaseq.cli, phaseq.landau; "
+        "print(phaseq.cli._shared_parser.cache_info().currsize, "
+        "phaseq.landau._gauss_legendre_400.cache_info().currsize)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+    )
+    assert proc.stdout.split() == ["0", "0"]

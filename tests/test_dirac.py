@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import phaseq.dirac
 from phaseq import (
     CR_I,
     MOSTLY_MINUS,
@@ -23,6 +24,7 @@ from phaseq import (
 from phaseq.dirac import (
     _derived_tables,
     _products,
+    _sigma_block,
     anticommutator,
     mat_add,
     mat_identity,
@@ -67,6 +69,23 @@ def test_sigma_block_structure():
     for (i, j), k in {(1, 2): 2, (2, 3): 0, (3, 1): 1}.items():
         assert sigma(i, j, rep) == sigma_big[k]
         assert sigma(j, i, rep) == mat_scale(-1, sigma_big[k])
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.label())
+def test_sigma_makes_two_products_and_matches_the_product_table(monkeypatch, metric):
+    rep = standard_gamma_rep(metric)
+    blocks = _products(rep)
+    calls = []
+
+    def counting(a, b, metric=MOSTLY_MINUS):
+        calls.append(metric)
+        return mat_mul(a, b, metric)
+
+    monkeypatch.setattr(phaseq.dirac, "mat_mul", counting)
+    for mu, nu in product(range(4), repeat=2):
+        calls.clear()
+        assert sigma(mu, nu, rep) == _sigma_block(blocks, mu, nu)
+        assert calls == [metric, metric]
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.label())

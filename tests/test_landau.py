@@ -21,7 +21,7 @@ from phaseq import (
     z_variable,
 )
 
-from oracles import exact_landau_polynomials, spinor_wigner_sum
+from oracles import exact_landau_polynomials, rayleigh_quotient_fresh, spinor_wigner_sum
 
 
 def test_params_validation():
@@ -175,6 +175,41 @@ def test_rayleigh_quotient_matches_eigenvalue():
             phi = eigenfunction(n, params)
             kappa = eB * (2 * n + 1)
             assert abs(rayleigh_quotient(phi, params) - kappa) < 1e-7 * kappa
+
+
+def test_rayleigh_quotient_equals_fresh_rule_route():
+    for eB in (0.5, 1.0, 2.0):
+        params = LandauParams(eB)
+        for n in range(6):
+            phi = eigenfunction(n, params)
+            assert rayleigh_quotient(phi, params) == rayleigh_quotient_fresh(phi, params)
+
+
+def test_rayleigh_quotient_builds_its_rule_once(monkeypatch):
+    calls = []
+    leggauss = phaseq.landau.leggauss
+
+    def counting(deg):
+        calls.append(deg)
+        return leggauss(deg)
+
+    monkeypatch.setattr(phaseq.landau, "leggauss", counting)
+    phaseq.landau._gauss_legendre_400.cache_clear()
+    try:
+        for n, eB in [(0, 1.0), (3, 0.5), (5, 2.0), (0, 1.0)]:
+            params = LandauParams(eB)
+            rayleigh_quotient(eigenfunction(n, params), params)
+    finally:
+        phaseq.landau._gauss_legendre_400.cache_clear()
+    assert calls == [400]
+
+
+def test_rayleigh_quotient_rule_is_read_only():
+    params = LandauParams(1.0)
+    rayleigh_quotient(eigenfunction(0, params), params)
+    for array in phaseq.landau._gauss_legendre_400():
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_rayleigh_quotient_perturbation_insensitive():
