@@ -320,6 +320,12 @@ def _cmd_landau_eigen(args):
             f"phi is {_fmt(vals[0])} on every row up to --z-max {args.z_max}, "
             "so the table checks nothing of its shape; use a larger --z-max"
         )
+    if np.count_nonzero(vals) == 1:
+        # phi underflows to 0 past the first rows; one nonzero value checks no more
+        raise ValueError(
+            f"phi is 0 on {vals.size - 1} of the {vals.size} rows up to --z-max {args.z_max}, "
+            "so the table checks nothing of its shape; use a smaller --z-max"
+        )
     rel_res = float(np.max(np.abs(residual))) / float(np.max(np.abs(vals)))
     passed = rel_res <= args.tol and abs(rq - kappa) <= 1e-7 * kappa
     rows = ["z,phi,ode_residual"]

@@ -3,7 +3,7 @@
 Grammar (whitespace insensitive):
 
     expr    := term (('+' | '-') term)*
-    term    := factor ('*' factor)*
+    term    := factor ('*' factor | '/' UINT)*
     factor  := ('-')* atom ('^' UINT)?
     atom    := RATIONAL | 'i' | IDENT | '(' expr ')'
     RATIONAL:= UINT ('/' UINT)?
@@ -11,31 +11,40 @@ Grammar (whitespace insensitive):
 
 UINT is a run of decimal digits (``str.isdecimal``), so a superscript
 such as '²' is an unexpected character. The aliases x, y, px, py resolve
-to q1, q2, p1, p2. Each term is built directly as one coefficient and one
-exponent vector: a number or 'i' multiplies the coefficient, a coordinate
-or its power adds to the exponent vector. Only a factor of more than one
-term, a parenthesized sum, goes through PhasePolynomial's ``*`` and
-``**``. Terms are summed in place by PhasePolynomial's add-then-drop-zero
-rule, so the result equals the sum of products of its factors, term
-order included. The printer emits
-terms in graded-lexicographic order (highest total degree first) and its
-output always re-parses to the same polynomial.
+to q1, q2, p1, p2. One regex splits the text into tokens, and one loop
+per sum reads each term's factors in place; it recurses only at '(',
+at most ``MAX_NESTING`` levels deep. A term is one coefficient and one
+exponent vector: a number or 'i' multiplies the coefficient, a
+coordinate or its power adds to the exponent vector. Coefficients stay
+Gaussian integers over one integer denominator until each output term
+gets its ComplexRational. Only a factor of more than one term, a
+parenthesized sum, goes through PhasePolynomial's ``*`` and ``**``.
+Terms are summed in place by PhasePolynomial's add-then-drop-zero rule,
+so the result equals the sum of products of its factors, term order
+included. Token positions are computed only for an error. The printer
+emits terms in graded-lexicographic order (highest total degree first)
+and its output always re-parses to the same polynomial.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
-from .algebra import _ZERO_KEY, CR_I, CR_ONE, CR_ZERO, ComplexRational, PhasePolynomial
+from .algebra import _ZERO_KEY, ComplexRational, PhasePolynomial
 
 __all__ = ["ParseError", "parse_expression", "format_polynomial"]
 
 MAX_EXPONENT = 64
+MAX_NESTING = 64
 MAX_POWER_TERMS = 1000
 
 _ALIASES = {"x": ("q", 1), "y": ("q", 2), "px": ("p", 1), "py": ("p", 2)}
 _VAR_NAMES = ["q0", "q1", "q2", "q3", "p0", "p1", "p2", "p3"]
+# a name (str.isalnum or '_' after a first non-digit), a decimal run, or any
+# other single non-space character
+_TOKEN = re.compile(r"[^\W\d]\w*|\d+|\S")
 
 
 class ParseError(ValueError):
@@ -46,234 +55,210 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        self._scan()
-        self.index = 0
-
-    def _scan(self):
-        text, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdecimal():
-                j = i
-                while j < n and text[j].isdecimal():
-                    j += 1
-                self.tokens.append(("int", text[i:j], i))
-                i = j
-                continue
-            if ch.isalpha():
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", text[i:j], i))
-                i = j
-                continue
-            if ch in "+-*/^()":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", i)
-        self.tokens.append(("end", "", n))
-
-    def peek(self):
-        return self.tokens[self.index]
-
-    def next(self):
-        tok = self.tokens[self.index]
-        if tok[0] != "end":
-            self.index += 1
-        return tok
+class _Refusal(Exception):
+    """A ParseError located by token index; ``_located`` finds its position."""
 
 
-class _Term:
-    """A term being built: coefficient, exponent vector, and the product of
-    its multi-term factors (None while every factor has had one term)."""
-
-    __slots__ = ("coeff", "exps", "poly")
-
-    def __init__(self):
-        self.coeff = CR_ONE
-        self.exps = [0] * 8
-        self.poly = None
-
-    def scale(self, c: ComplexRational):
-        # a product with 1 or with i needs no Fraction multiplication
-        if self.coeff is CR_ONE:
-            self.coeff = c
-        elif c is CR_I:
-            self.coeff = ComplexRational(-self.coeff.im, self.coeff.re)
-        else:
-            self.coeff = self.coeff * c
+def _located(text: str, message: str, index: int) -> ParseError:
+    # an unexpected character anywhere comes first, as a scan before parsing meets it
+    starts = []
+    for match in _TOKEN.finditer(text):
+        tok = match.group()
+        if not (tok.isdecimal() or tok[0].isalpha() or tok in "+-*/^()"):
+            return ParseError(f"unexpected character {tok[0]!r}", match.start())
+        starts.append(match.start())
+    starts.append(len(text))
+    return ParseError(message, starts[index])
 
 
-def _power(c: ComplexRational, exponent: int) -> ComplexRational:
-    if exponent == 0:
-        return CR_ONE
-    out = c
-    for _ in range(exponent - 1):
-        out = out * c
-    return out
+def _slot(name: str, dims: int, at: int) -> int:
+    """The exponent slot of the coordinate ``name``, the token at index ``at``."""
+    if name in _ALIASES:
+        kind, index = _ALIASES[name]
+    elif len(name) == 2 and name[0] in "qp" and name[1].isdecimal():
+        kind, index = name[0], int(name[1])
+    else:
+        raise _Refusal(f"unknown identifier {name!r}", at)
+    if index >= dims:
+        raise _Refusal(f"identifier {name!r} out of range for dims={dims}", at)
+    return index if kind == "q" else 4 + index
 
 
-class _Parser:
-    def __init__(self, text: str, dims: int):
-        self.toks = _Tokenizer(text)
-        self.dims = dims
+_SLOTS = {name: _slot(name, 4, 0) for name in [*_VAR_NAMES, *_ALIASES]}
 
-    def parse(self) -> PhasePolynomial:
-        terms = self._expr()
-        kind, value, pos = self.toks.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected token {value!r}", pos)
-        return PhasePolynomial._raw(terms, self.dims)
 
-    def _expr(self) -> dict:
-        # PhasePolynomial.__add__'s rule, in place: add, then drop a zero sum
-        terms: dict = {}
-        negate = False
+def _denominator(toks: list, at: int) -> int:
+    tok = toks[at]
+    if not tok.isdecimal() or int(tok) == 0:
+        raise _Refusal("denominator must be a positive integer", at)
+    return int(tok)
+
+
+def _power(a: int, b: int, e: int) -> tuple:
+    """(a + b*i)**e for integers a and b."""
+    if not b:
+        return a**e, 0
+    ra, rb = 1, 0
+    for _ in range(e):
+        ra, rb = ra * a - rb * b, ra * b + rb * a
+    return ra, rb
+
+
+def _complex(a: int, b: int, d: int) -> ComplexRational:
+    return ComplexRational(Fraction(a, d), Fraction(b, d))
+
+
+def _integers(c: ComplexRational) -> tuple:
+    x, y = c.re, c.im
+    return x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator
+
+
+def _sum(toks: list, i: int, dims: int, depth: int):
+    """The terms of the sum that starts at token ``i``, as {key: (a, b, d)}
+    for the coefficient (a + b*i)/d, and the index of the token after it."""
+    terms: dict = {}
+    sign = 1
+    while True:
+        # one term: coefficient (a + b*i)/d, exponents, product of multi-term groups
+        a, b, d = sign, 0, 1
+        exps = [0] * 8
+        poly = None
         while True:
-            for key, coeff in self._term():
-                if negate:
-                    coeff = -coeff
-                if key in terms:
-                    acc = terms[key] + coeff
-                    if acc.is_zero():
-                        del terms[key]
-                    else:
-                        terms[key] = acc
+            start = i
+            tok = toks[i]
+            while tok == "-":
+                a, b = -a, -b
+                i += 1
+                tok = toks[i]
+            i += 1
+            slot = _SLOTS.get(tok)
+            group = None
+            if slot is None or slot & 3 >= dims:
+                slot = None
+                if tok == "(":
+                    if depth == MAX_NESTING:
+                        raise _Refusal(f"nesting depth exceeds limit {MAX_NESTING}", i - 1)
+                    group, i = _sum(toks, i, dims, depth + 1)
+                    if toks[i] != ")":
+                        raise _Refusal("expected ')'", i)
+                    i += 1
+                elif tok == "i":
+                    fa, fb, fd = 0, 1, 1
+                elif tok.isdecimal():
+                    fa, fb, fd = int(tok), 0, 1
+                    if toks[i] == "/":
+                        fd = _denominator(toks, i + 1)
+                        i += 2
+                elif tok[:1].isalpha():
+                    slot = _slot(tok, dims, i - 1)
                 else:
-                    terms[key] = coeff
-            kind = self.toks.peek()[0]
-            if kind not in ("+", "-"):
-                return terms
-            self.toks.next()
-            negate = kind == "-"
-
-    def _term(self):
-        """The nonzero (key, coefficient) pairs of one term."""
-        term = _Term()
-        self._factor(term)
-        while True:
-            kind = self.toks.peek()[0]
-            if kind == "*":
-                self.toks.next()
-                self._factor(term)
-            elif kind == "/":
-                # division only by a positive integer literal
-                self.toks.next()
-                dkind, dvalue, dpos = self.toks.next()
-                if dkind != "int" or int(dvalue) == 0:
-                    raise ParseError("denominator must be a positive integer", dpos)
-                term.scale(ComplexRational(Fraction(1, int(dvalue))))
+                    message = f"unexpected token {tok!r}" if tok else "unexpected end of input"
+                    raise _Refusal(message, i - 1)
+            e = 1
+            caret = toks[i] == "^"
+            if caret:
+                tok = toks[i + 1]
+                if not tok.isdecimal():
+                    raise _Refusal("exponent must be a nonnegative integer", i + 1)
+                e = int(tok)
+                if e > MAX_EXPONENT:
+                    raise _Refusal(f"exponent {e} exceeds limit {MAX_EXPONENT}", i + 1)
+                i += 2
+            if slot is not None:
+                exps[slot] += e
+            elif group is not None and len(group) > 1:
+                if caret:
+                    # a t-term group to the k has at most C(t+k-1, k) terms
+                    bound = comb(len(group) + e - 1, e)
+                    if bound > MAX_POWER_TERMS:
+                        raise _Refusal(
+                            f"a group of {len(group)} terms to the power {e} can have "
+                            f"{bound} terms, more than the limit {MAX_POWER_TERMS}",
+                            i - 1,
+                        )
+                factor = {key: _complex(*c) for key, c in group.items()}
+                factor = PhasePolynomial._raw(factor, dims) ** e
+                if poly is None:
+                    poly = factor
+                else:
+                    # a product of t1 and t2 terms has at most t1*t2 terms
+                    bound = len(poly.terms) * len(factor.terms)
+                    if bound > MAX_POWER_TERMS:
+                        raise _Refusal(
+                            f"a product of groups of {len(poly.terms)} and {len(factor.terms)} "
+                            f"terms can have {bound} terms, more than the limit {MAX_POWER_TERMS}",
+                            start,
+                        )
+                    poly = poly * factor
             else:
+                if group is not None:
+                    # a group of at most one term is a monomial factor
+                    key, (fa, fb, fd) = next(iter(group.items()), (_ZERO_KEY, (0, 0, 1)))
+                    for s, k in enumerate(key):
+                        exps[s] += k * e
+                if e != 1:
+                    (fa, fb), fd = _power(fa, fb, e), fd**e
+                if fb:
+                    a, b = a * fa - b * fb, a * fb + b * fa
+                else:
+                    a, b = a * fa, b * fa
+                d *= fd
+            tok = toks[i]
+            while tok == "/":
+                d *= _denominator(toks, i + 1)
+                i += 2
+                tok = toks[i]
+            if tok != "*":
                 break
-        if term.coeff.is_zero():
-            return ()
-        key = tuple(term.exps)
-        if term.poly is None:
-            return ((key, term.coeff),)
-        return (PhasePolynomial._raw({key: term.coeff}, self.dims) * term.poly).terms.items()
-
-    def _factor(self, term: _Term):
-        negate = False
-        start = self.toks.peek()[2]
-        while self.toks.peek()[0] == "-":
-            self.toks.next()
-            negate = not negate
-        atom = self._atom()
-        exponent = 1
-        if self.toks.peek()[0] == "^":
-            self.toks.next()
-            kind, value, pos = self.toks.next()
-            if kind != "int":
-                raise ParseError("exponent must be a nonnegative integer", pos)
-            exponent = int(value)
-            if exponent > MAX_EXPONENT:
-                raise ParseError(f"exponent {exponent} exceeds limit {MAX_EXPONENT}", pos)
-            if isinstance(atom, dict) and len(atom) > 1:
-                # a t-term group to the k has at most C(t+k-1, k) terms
-                bound = comb(len(atom) + exponent - 1, exponent)
-                if bound > MAX_POWER_TERMS:
-                    raise ParseError(
-                        f"a group of {len(atom)} terms to the power {exponent} can have "
-                        f"{bound} terms, more than the limit {MAX_POWER_TERMS}",
-                        pos,
-                    )
-        if isinstance(atom, int):
-            term.exps[atom] += exponent
-        elif isinstance(atom, ComplexRational):
-            term.scale(_power(atom, exponent))
-        elif len(atom) > 1:
-            poly = PhasePolynomial._raw(atom, self.dims) ** exponent
-            if term.poly is None:
-                term.poly = poly
+            i += 1
+        if a or b:
+            key = tuple(exps)
+            if poly is None:
+                pairs = ((key, (a, b, d)),)
             else:
-                # a product of t1 and t2 terms has at most t1*t2 terms
-                bound = len(term.poly.terms) * len(poly.terms)
-                if bound > MAX_POWER_TERMS:
-                    raise ParseError(
-                        f"a product of groups of {len(term.poly.terms)} and {len(poly.terms)} "
-                        f"terms can have {bound} terms, more than the limit {MAX_POWER_TERMS}",
-                        start,
-                    )
-                term.poly = term.poly * poly
+                mono = PhasePolynomial._raw({key: _complex(a, b, d)}, dims)
+                pairs = [(k, _integers(c)) for k, c in (mono * poly).terms.items()]
+            # PhasePolynomial.__add__'s rule, in place: add, then drop a zero sum
+            for key, coeff in pairs:
+                old = terms.get(key)
+                if old is None:
+                    terms[key] = coeff
+                    continue
+                (ra, rb, rd), (ca, cb, cd) = old, coeff
+                if rd == cd:
+                    ra, rb = ra + ca, rb + cb
+                else:
+                    ra, rb, rd = ra * cd + ca * rd, rb * cd + cb * rd, rd * cd
+                    g = gcd(ra, rb, rd)
+                    ra, rb, rd = ra // g, rb // g, rd // g
+                if ra or rb:
+                    terms[key] = (ra, rb, rd)
+                else:
+                    del terms[key]
+        tok = toks[i]
+        if tok == "+":
+            sign = 1
+        elif tok == "-":
+            sign = -1
         else:
-            # a group of at most one term is a monomial factor
-            key, coeff = next(iter(atom.items()), (_ZERO_KEY, CR_ZERO))
-            term.scale(_power(coeff, exponent))
-            for slot, e in enumerate(key):
-                term.exps[slot] += e * exponent
-        if negate:
-            term.coeff = -term.coeff
-
-    def _atom(self):
-        """A coordinate's exponent slot, a number, or the terms of a group."""
-        kind, value, pos = self.toks.next()
-        if kind == "int":
-            numerator = int(value)
-            if self.toks.peek()[0] == "/":
-                self.toks.next()
-                dkind, dvalue, dpos = self.toks.next()
-                if dkind != "int" or int(dvalue) == 0:
-                    raise ParseError("denominator must be a positive integer", dpos)
-                return ComplexRational(Fraction(numerator, int(dvalue)))
-            return ComplexRational(Fraction(numerator))
-        if kind == "ident":
-            if value == "i":
-                return CR_I
-            return self._variable(value, pos)
-        if kind == "(":
-            inner = self._expr()
-            ckind, _, cpos = self.toks.next()
-            if ckind != ")":
-                raise ParseError("expected ')'", cpos)
-            return inner
-        raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
-
-    def _variable(self, name: str, pos: int) -> int:
-        if name in _ALIASES:
-            kind, index = _ALIASES[name]
-        elif len(name) == 2 and name[0] in "qp" and name[1].isdecimal():
-            kind, index = name[0], int(name[1])
-        else:
-            raise ParseError(f"unknown identifier {name!r}", pos)
-        if index >= self.dims:
-            raise ParseError(
-                f"identifier {name!r} out of range for dims={self.dims}", pos
-            )
-        return index if kind == "q" else 4 + index
+            return terms, i
+        i += 1
 
 
 def parse_expression(text: str, dims: int = 4) -> PhasePolynomial:
     """Parse ``text`` into an exact PhasePolynomial over ``dims`` coordinate pairs."""
-    return _Parser(text, dims).parse()
+    toks = _TOKEN.findall(text)
+    toks.append("")
+    try:
+        terms, i = _sum(toks, 0, dims, 0)
+        if toks[i]:
+            raise _Refusal(f"unexpected token {toks[i]!r}", i)
+    except _Refusal as refusal:
+        raise _located(text, *refusal.args) from None
+    return PhasePolynomial._raw(
+        {key: ComplexRational(Fraction(a, d), Fraction(b, d)) for key, (a, b, d) in terms.items()},
+        dims,
+    )
 
 
 def _format_fraction(f: Fraction) -> str:

@@ -11,8 +11,9 @@ derivative-multi-index walk that the per-pair closed-form Moyal star
 replaces, direct numeric evaluation for the exact polynomial algebra,
 Bopp shifts in derivative form as the operator route that the
 package's symbol calculus replaces, the parser that built each term
-from PhasePolynomial products, which the direct-term parser replaces,
-and fraction_closed_form_star, the same per-pair closed form summed in
+from PhasePolynomial products with its own character-by-character
+scanner, which the flat one-regex parser with integer coefficients
+replaces, and fraction_closed_form_star, the same per-pair closed form summed in
 Fraction and ComplexRational arithmetic term by term, which the
 integer-coded Moyal star (one common denominator per factor, one
 Fraction pair per output term) replaces, and constant_matrix_product, the
@@ -57,7 +58,7 @@ from phaseq import (
     moyal_star,
     reduced_ode_apply,
 )
-from phaseq.parsing import _ALIASES, MAX_EXPONENT, ParseError, _Tokenizer
+from phaseq.parsing import _ALIASES, MAX_EXPONENT, MAX_NESTING, ParseError
 
 
 def eval_poly(poly: PhasePolynomial, qs, ps) -> complex:
@@ -555,10 +556,59 @@ def basis_sweep(report, pairs, max_degree: int, metric: MetricSignature):
 # parser: every term built as a product of PhasePolynomial factors
 
 
+class _Tokenizer:
+    """Scan character by character into (kind, text, position) tokens."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens: list[tuple[str, str, int]] = []
+        self._scan()
+        self.index = 0
+
+    def _scan(self):
+        text, n = self.text, len(self.text)
+        i = 0
+        while i < n:
+            ch = text[i]
+            if ch.isspace():
+                i += 1
+                continue
+            if ch.isdecimal():
+                j = i
+                while j < n and text[j].isdecimal():
+                    j += 1
+                self.tokens.append(("int", text[i:j], i))
+                i = j
+                continue
+            if ch.isalpha():
+                j = i
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                self.tokens.append(("ident", text[i:j], i))
+                i = j
+                continue
+            if ch in "+-*/^()":
+                self.tokens.append((ch, ch, i))
+                i += 1
+                continue
+            raise ParseError(f"unexpected character {ch!r}", i)
+        self.tokens.append(("end", "", n))
+
+    def peek(self):
+        return self.tokens[self.index]
+
+    def next(self):
+        tok = self.tokens[self.index]
+        if tok[0] != "end":
+            self.index += 1
+        return tok
+
+
 class _ProductParser:
     def __init__(self, text: str, dims: int):
         self.toks = _Tokenizer(text)
         self.dims = dims
+        self.depth = 0
 
     def parse(self) -> PhasePolynomial:
         poly = self._expr()
@@ -634,7 +684,11 @@ class _ProductParser:
                 )
             return self._variable(value, pos)
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"nesting depth exceeds limit {MAX_NESTING}", pos)
+            self.depth += 1
             inner = self._expr()
+            self.depth -= 1
             ckind, _, cpos = self.toks.next()
             if ckind != ")":
                 raise ParseError("expected ')'", cpos)
@@ -644,7 +698,7 @@ class _ProductParser:
     def _variable(self, name: str, pos: int) -> PhasePolynomial:
         if name in _ALIASES:
             kind, index = _ALIASES[name]
-        elif len(name) == 2 and name[0] in "qp" and name[1].isdigit():
+        elif len(name) == 2 and name[0] in "qp" and name[1].isdecimal():
             kind, index = name[0], int(name[1])
         else:
             raise ParseError(f"unknown identifier {name!r}", pos)
@@ -656,8 +710,8 @@ class _ProductParser:
 
 
 def polynomial_product_parse(text: str, dims: int = 4) -> PhasePolynomial:
-    """Parse ``text`` by multiplying and adding PhasePolynomial values, using
-    the package's scanner; ``parse_expression`` must give the same result."""
+    """Parse ``text`` by scanning it character by character and multiplying and
+    adding PhasePolynomial values; ``parse_expression`` must give the same result."""
     return _ProductParser(text, dims).parse()
 
 

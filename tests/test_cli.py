@@ -394,6 +394,9 @@ def test_kg_check_exit_codes(tmp_path, capsys, monkeypatch):
         ["landau-reduce-check", "--imag-tol", "nan"],
         ["landau-eigen", "--z-max", "1e-300"],
         ["landau-eigen", "--z-max", "1e-20", "--n", "2"],
+        ["star", "--expr1", "(" * 400 + "q0" + ")" * 400, "--expr2", "p0"],
+        ["landau-eigen", "--z-max", "1e308"],
+        ["landau-eigen", "--eB", "1e-110"],
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -476,9 +479,10 @@ def test_wigner_format_json_is_a_usage_error(tmp_path, capsys, monkeypatch):
 
 def test_landau_eigen_rayleigh_check_is_relative(tmp_path, capsys, monkeypatch):
     # at eB = 1e-110 the Rayleigh quotient is off by half of kappa = 1e-110,
-    # which an absolute floor of 1e-7 would let pass
+    # which an absolute floor of 1e-7 would let pass; --z-max 1e-108 keeps phi
+    # nonzero on every row (up to the default 30 it is nonzero on row 0 alone)
     monkeypatch.chdir(tmp_path)
-    code, _, err = run(capsys, "landau-eigen", "--eB", "1e-110")
+    code, _, err = run(capsys, "landau-eigen", "--eB", "1e-110", "--z-max", "1e-108")
     assert code == 1
     assert "pass=false" in err
     code, _, err = run(capsys, "landau-eigen", "--n", "0", "--eB", "0.5")

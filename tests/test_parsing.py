@@ -1,9 +1,11 @@
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
+import phaseq.parsing
 from phaseq import (
     ParseError,
     PhasePolynomial,
@@ -103,6 +105,21 @@ def test_group_product_bounded_before_multiplying():
         parse_expression("(q0+p0)^30*(q1+p1)^30*(q2+p2)")
 
 
+def test_nesting_refused_past_the_limit():
+    # 64 nested groups parse; the 65th '(' is refused before the parser descends into it
+    assert parse_expression("(" * 64 + "q0" + ")" * 64) == q_var(0)
+    with pytest.raises(ParseError, match="nesting depth exceeds limit 64") as err:
+        parse_expression("(" * 65 + "q0" + ")" * 65)
+    assert err.value.pos == 64
+    with pytest.raises(ParseError) as err:
+        parse_expression("(" * 400 + "q0" + ")" * 400)
+    assert err.value.pos == 64
+    # an unexpected character anywhere is reported first, as for every syntax error
+    with pytest.raises(ParseError, match="unexpected character '@'") as err:
+        parse_expression("(" * 400 + "q0 @")
+    assert err.value.pos == 403
+
+
 @pytest.mark.parametrize("text, pos", [("q0^\u00b2", 3), ("\u00b2", 0), ("q\u00b2", 0)])
 def test_non_decimal_digits_are_parse_errors(text, pos):
     # superscript digits pass str.isdigit() but are not decimal digits
@@ -172,3 +189,56 @@ def test_parse_matches_polynomial_product_oracle(case):
         assert _outcome(parse_expression, text, dims) == _outcome(
             polynomial_product_parse, text, dims
         ), text
+
+
+_INSERTED = ["+", "-", "*", "/", "^", "(", ")", "i", "0", "q4"]
+# '\u00e9' is a letter, '\u00b2' a digit but not decimal, '_x' a name that starts with '_',
+# and '\uff11' (full-width 1) is decimal, so q\uff11 names q1 and \uff11 is the number 1
+_NON_ASCII = ["\u00e9", "q\u00b2", "\u00b2", "_x", "\uff11", "q\uff11", "\uff11/2*q0", "p0^\uff12"]
+
+
+def _mutations(count):
+    """Seeded one-token edits of printed star products and hand-written texts."""
+    rng = random.Random("parse-fuzz")
+    sources = [text for text, _ in _star_texts()] + _HAND_WRITTEN
+    cases = []
+    for _ in range(count):
+        toks = re.findall(r"\w+|\S", rng.choice(sources))
+        at = rng.randrange(len(toks))
+        edit = rng.randrange(4)
+        if edit == 0:
+            del toks[at]
+        elif edit == 1:
+            toks.insert(at, toks[at])
+        elif edit == 2 and at + 1 < len(toks):
+            toks[at], toks[at + 1] = toks[at + 1], toks[at]
+        else:
+            toks.insert(at, rng.choice(_INSERTED + _NON_ASCII))
+        cases.append((rng.choice(["", " "]).join(toks), rng.choice([1, 2, 4, 4, 4, 4])))
+    return cases
+
+
+def test_parse_fuzz_matches_polynomial_product_oracle():
+    cases = _mutations(600) + [(t, d) for t in _NON_ASCII for d in (1, 4)]
+    cases += [("(" * n + "q0 - p0" + ")" * n, 4) for n in (64, 65)]
+    outcomes = [_outcome(parse_expression, text, dims) for text, dims in cases]
+    # the edits reach both the polynomial and the error outcomes
+    assert 20 < sum(isinstance(o[0], PhasePolynomial) for o in outcomes) < len(cases) - 20
+    for (text, dims), outcome in zip(cases, outcomes):
+        assert outcome == _outcome(polynomial_product_parse, text, dims), (text, dims)
+
+
+def test_printed_product_parse_builds_two_fractions_per_term(monkeypatch):
+    # each output term gets one Fraction pair; every coefficient before it is integers
+    built = []
+
+    def counting_fraction(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(phaseq.parsing, "Fraction", counting_fraction)
+    for text, dims in _star_texts():
+        built.clear()
+        poly = parse_expression(text, dims)
+        assert len(built) == 2 * len(poly.terms) > 0
+        assert (poly, list(poly.terms)) == _outcome(polynomial_product_parse, text, dims)
