@@ -3,13 +3,16 @@
 The eight generators are q0..q3 and p0..p3 (upper-index components).
 Coefficients are complex numbers with exact rational real and imaginary
 parts, so every algebraic identity in this package can be tested for
-literal equality instead of closeness to zero.
+literal equality instead of closeness to zero. A coefficient is held as
+one Gaussian integer over one positive denominator, in lowest terms, and
+its arithmetic builds no Fractions; ``re`` and ``im`` are built on read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "ComplexRational",
@@ -28,19 +31,40 @@ __all__ = [
 _RationalLike = (int, Fraction)
 
 
-@dataclass(frozen=True)
 class ComplexRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    Held as one integer triple (a, b, d) that stands for (a + b*i)/d, with
+    d > 0 and gcd(a, b, d) = 1, so every value has exactly one triple and
+    equality and hashing compare its three integers. Arithmetic works in
+    integers with one gcd per result. ``re`` and ``im`` are read-only
+    Fractions; values are immutable and unordered.
+    """
+
+    __slots__ = ("_abd",)
+
+    def __init__(self, re=Fraction(0), im=Fraction(0)):
+        if not isinstance(re, _RationalLike) or not isinstance(im, _RationalLike):
+            raise TypeError("ComplexRational parts must be int or Fraction")
+        p, q, r, s = re.numerator, re.denominator, im.numerator, im.denominator
+        # both parts are in lowest terms, so over lcm(q, s) gcd(a, b, d) = 1
+        d = lcm(q, s)
+        _set_abd(self, (p * (d // q), r * (d // s), d))
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._abd[0], self._abd[2])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._abd[1], self._abd[2])
 
     @staticmethod
     def of(value) -> "ComplexRational":
         if isinstance(value, ComplexRational):
             return value
         if isinstance(value, _RationalLike):
-            return ComplexRational(Fraction(value))
+            return _triple(value.numerator, 0, value.denominator)
         if isinstance(value, complex):
             # exact binary floats convert losslessly through Fraction
             return ComplexRational(Fraction(value.real), Fraction(value.imag))
@@ -49,13 +73,19 @@ class ComplexRational:
         raise TypeError(f"cannot coerce {value!r} to ComplexRational")
 
     def __add__(self, other):
-        other = ComplexRational.of(other)
-        return ComplexRational(self.re + other.re, self.im + other.im)
+        if other.__class__ is not ComplexRational:
+            other = ComplexRational.of(other)
+        a, b, d = self._abd
+        c, e, f = other._abd
+        if d == f:
+            return _from_integers(a + c, b + e, d)
+        return _from_integers(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
+        a, b, d = self._abd
+        return _triple(-a, -b, d)
 
     def __sub__(self, other):
         return self + (-ComplexRational.of(other))
@@ -64,35 +94,76 @@ class ComplexRational:
         return ComplexRational.of(other) + (-self)
 
     def __mul__(self, other):
-        other = ComplexRational.of(other)
-        return ComplexRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not ComplexRational:
+            other = ComplexRational.of(other)
+        a, b, d = self._abd
+        c, e, f = other._abd
+        return _from_integers(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = ComplexRational.of(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        a, b, d = self._abd
+        c, e, f = other._abd
+        if not (c or e):
             raise ZeroDivisionError("division by zero ComplexRational")
-        return ComplexRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        return _from_integers((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
 
     def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
+        a, b, d = self._abd
+        return _triple(a, -b, d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        a, b, _ = self._abd
+        return not a and not b
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        a, b, d = self._abd
+        return complex(a / d) + 1j * complex(b / d)
+
+    def __eq__(self, other):
+        if other.__class__ is ComplexRational:
+            return self._abd == other._abd
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._abd)
+
+    def __repr__(self):
+        return f"ComplexRational(re={self.re!r}, im={self.im!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ComplexRational, (self.re, self.im)
+
+
+_set_abd = ComplexRational._abd.__set__
+_new = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> ComplexRational:
+    """The ComplexRational (a + b*i)/d for a triple already in lowest terms."""
+    c = _new(ComplexRational)
+    _set_abd(c, (a, b, d))
+    return c
+
+
+def _from_integers(a: int, b: int, d: int) -> ComplexRational:
+    """The ComplexRational (a + b*i)/d for integers a, b and d > 0, reduced by one gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _triple(a, b, d)
 
 
 CR_ZERO = ComplexRational()
@@ -126,6 +197,11 @@ MOSTLY_PLUS = MetricSignature((-1, 1, 1, 1))
 _ZERO_KEY = (0,) * 8
 
 
+def _require_dims(dims: int) -> None:
+    if not 1 <= dims <= 4:
+        raise ValueError("dims must be between 1 and 4")
+
+
 class PhasePolynomial:
     """Multivariate polynomial in q0..q3, p0..p3 with ComplexRational coefficients.
 
@@ -136,8 +212,7 @@ class PhasePolynomial:
     __slots__ = ("terms", "dims")
 
     def __init__(self, terms, dims: int):
-        if not 1 <= dims <= 4:
-            raise ValueError("dims must be between 1 and 4")
+        _require_dims(dims)
         clean = {}
         for key, coeff in terms.items():
             coeff = ComplexRational.of(coeff)

@@ -16,23 +16,25 @@ per sum reads each term's factors in place; it recurses only at '(',
 at most ``MAX_NESTING`` levels deep. A term is one coefficient and one
 exponent vector: a number or 'i' multiplies the coefficient, a
 coordinate or its power adds to the exponent vector. Coefficients stay
-Gaussian integers over one integer denominator until each output term
-gets its ComplexRational. Only a factor of more than one term, a
-parenthesized sum, goes through PhasePolynomial's ``*`` and ``**``.
+Gaussian integers over one integer denominator, and each output term's
+ComplexRational is built from that triple with one gcd; no Fraction is
+built. Only a factor of more than one term, a parenthesized sum, goes
+through PhasePolynomial's ``*`` and ``**``.
 Terms are summed in place by PhasePolynomial's add-then-drop-zero rule,
 so the result equals the sum of products of its factors, term order
 included. Token positions are computed only for an error. The printer
-emits terms in graded-lexicographic order (highest total degree first)
-and its output always re-parses to the same polynomial.
+emits terms in graded-lexicographic order (highest total degree first),
+reads each coefficient's integer triple, tests signs on integers and
+reduces each printed part with one gcd; its output always re-parses to
+the same polynomial.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import comb, gcd
 
-from .algebra import _ZERO_KEY, ComplexRational, PhasePolynomial
+from .algebra import _ZERO_KEY, PhasePolynomial, _from_integers, _require_dims
 
 __all__ = ["ParseError", "parse_expression", "format_polynomial"]
 
@@ -104,15 +106,6 @@ def _power(a: int, b: int, e: int) -> tuple:
     return ra, rb
 
 
-def _complex(a: int, b: int, d: int) -> ComplexRational:
-    return ComplexRational(Fraction(a, d), Fraction(b, d))
-
-
-def _integers(c: ComplexRational) -> tuple:
-    x, y = c.re, c.im
-    return x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator
-
-
 def _sum(toks: list, i: int, dims: int, depth: int):
     """The terms of the sum that starts at token ``i``, as {key: (a, b, d)}
     for the coefficient (a + b*i)/d, and the index of the token after it."""
@@ -176,7 +169,7 @@ def _sum(toks: list, i: int, dims: int, depth: int):
                             f"{bound} terms, more than the limit {MAX_POWER_TERMS}",
                             i - 1,
                         )
-                factor = {key: _complex(*c) for key, c in group.items()}
+                factor = {key: _from_integers(*c) for key, c in group.items()}
                 factor = PhasePolynomial._raw(factor, dims) ** e
                 if poly is None:
                     poly = factor
@@ -216,8 +209,8 @@ def _sum(toks: list, i: int, dims: int, depth: int):
             if poly is None:
                 pairs = ((key, (a, b, d)),)
             else:
-                mono = PhasePolynomial._raw({key: _complex(a, b, d)}, dims)
-                pairs = [(k, _integers(c)) for k, c in (mono * poly).terms.items()]
+                mono = PhasePolynomial._raw({key: _from_integers(a, b, d)}, dims)
+                pairs = [(k, c._abd) for k, c in (mono * poly).terms.items()]
             # PhasePolynomial.__add__'s rule, in place: add, then drop a zero sum
             for key, coeff in pairs:
                 old = terms.get(key)
@@ -247,6 +240,7 @@ def _sum(toks: list, i: int, dims: int, depth: int):
 
 def parse_expression(text: str, dims: int = 4) -> PhasePolynomial:
     """Parse ``text`` into an exact PhasePolynomial over ``dims`` coordinate pairs."""
+    _require_dims(dims)
     toks = _TOKEN.findall(text)
     toks.append("")
     try:
@@ -256,29 +250,32 @@ def parse_expression(text: str, dims: int = 4) -> PhasePolynomial:
     except _Refusal as refusal:
         raise _located(text, *refusal.args) from None
     return PhasePolynomial._raw(
-        {key: ComplexRational(Fraction(a, d), Fraction(b, d)) for key, (a, b, d) in terms.items()},
-        dims,
+        {key: _from_integers(a, b, d) for key, (a, b, d) in terms.items()}, dims
     )
 
 
-def _format_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _format_rational(n: int, d: int) -> str:
+    """n/d for d > 0 in lowest terms, an integer when d divides n."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
-def _format_coeff(c: ComplexRational, has_monomial: bool) -> str:
-    """Render a nonzero coefficient, assuming any overall '-' was already pulled out."""
-    if c.im == 0:
-        if c.re == 1 and has_monomial:
+def _format_coeff(a: int, b: int, d: int, has_monomial: bool) -> str:
+    """Render a nonzero coefficient (a + b*i)/d, any overall '-' already pulled out."""
+    if not b:
+        if a == d and has_monomial:
             return ""
-        return _format_fraction(c.re)
-    if c.re == 0:
-        if c.im == 1:
+        return _format_rational(a, d)
+    if not a:
+        if b == d:
             return "i"
-        return f"{_format_fraction(c.im)}*i"
-    sign = " + " if c.im > 0 else " - "
-    im = abs(c.im)
-    im_str = "i" if im == 1 else f"{_format_fraction(im)}*i"
-    return f"({_format_fraction(c.re)}{sign}{im_str})"
+        return f"{_format_rational(b, d)}*i"
+    sign = " + " if b > 0 else " - "
+    b = abs(b)
+    im_str = "i" if b == d else f"{_format_rational(b, d)}*i"
+    return f"({_format_rational(a, d)}{sign}{im_str})"
 
 
 def _format_monomial(key: tuple) -> str:
@@ -291,10 +288,6 @@ def _format_monomial(key: tuple) -> str:
     return "*".join(parts)
 
 
-def _is_negative(c: ComplexRational) -> bool:
-    return c.re < 0 or (c.re == 0 and c.im < 0)
-
-
 def format_polynomial(poly: PhasePolynomial) -> str:
     """Canonical string form: graded-lex term order, exact rational coefficients."""
     if not poly.terms:
@@ -302,12 +295,12 @@ def format_polynomial(poly: PhasePolynomial) -> str:
     keys = sorted(poly.terms, key=lambda k: (-sum(k), tuple(-e for e in k)))
     pieces = []
     for idx, key in enumerate(keys):
-        coeff = poly.terms[key]
-        negative = _is_negative(coeff)
+        a, b, d = poly.terms[key]._abd
+        negative = a < 0 or (not a and b < 0)
         if negative:
-            coeff = -coeff
+            a, b = -a, -b
         mono = _format_monomial(key)
-        coeff_str = _format_coeff(coeff, bool(mono))
+        coeff_str = _format_coeff(a, b, d, bool(mono))
         if mono and coeff_str:
             body = f"{coeff_str}*{mono}"
         else:

@@ -11,23 +11,22 @@ and a monomial product is the Cartesian product of its four pair sums,
 so the result is exact. The sums run over integers: each factor is
 written as Gaussian-integer numerators over one common denominator, a
 term with k = sum(r + s) is scaled by 2^(kmax - k) so that every term
-shares the denominator 2^kmax, and one pair of Fractions is built per
-output term at the end. Operators are represented by their symbols: a
-Bopp shift is left star multiplication.
+shares the denominator 2^kmax, and each output term's ComplexRational
+is built at the end from its integer triple with one gcd. Operators are
+represented by their symbols: a Bopp shift is left star multiplication.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, lcm
 
 from .algebra import (
-    ComplexRational,
     MOSTLY_MINUS,
     MetricSignature,
     PhasePolynomial,
+    _from_integers,
 )
 
 __all__ = ["moyal_star", "commutator_on"]
@@ -58,12 +57,9 @@ def _pair_terms(a: int, b: int, c: int, d: int, sign: int) -> tuple:
 
 def _integer_form(poly: PhasePolynomial) -> tuple[int, list]:
     """(D, [(key, re*D, im*D)]): Gaussian-integer numerators over one denominator."""
-    den = lcm(*(part.denominator for c in poly.terms.values() for part in (c.re, c.im)))
-    return den, [
-        (key, c.re.numerator * (den // c.re.denominator),
-         c.im.numerator * (den // c.im.denominator))
-        for key, c in poly.terms.items()
-    ]
+    triples = [(key, c._abd) for key, c in poly.terms.items()]
+    den = lcm(*(d for _, (_, _, d) in triples))
+    return den, [(key, a * (den // d), b * (den // d)) for key, (a, b, d) in triples]
 
 
 def moyal_star(
@@ -82,8 +78,8 @@ def moyal_star(
     k = sum(r + s) is at most kmax = min(deg f, deg g), so with f and g
     written as Gaussian-integer numerators over denominators D_f and D_g,
     each term adds (numerator product) * i^k * prod(n) * 2^(kmax - k) to
-    an integer accumulator; one Fraction pair over D_f * D_g * 2^kmax is
-    built per nonzero output term at the end.
+    an integer accumulator; each nonzero output term's ComplexRational is
+    built at the end from its triple over D_f * D_g * 2^kmax, with one gcd.
     """
     if f.dims != g.dims:
         raise ValueError(f"dimension mismatch: {f.dims} vs {g.dims}")
@@ -116,11 +112,7 @@ def moyal_star(
                     acc[1] += im_k * n
     den = (den_f * den_g) << kmax
     return PhasePolynomial._raw(
-        {
-            key: ComplexRational(Fraction(re, den), Fraction(im, den))
-            for key, (re, im) in sums.items()
-            if re or im
-        },
+        {key: _from_integers(re, im, den) for key, (re, im) in sums.items() if re or im},
         f.dims,
     )
 

@@ -14,9 +14,9 @@ package's symbol calculus replaces, the parser that built each term
 from PhasePolynomial products with its own character-by-character
 scanner, which the flat one-regex parser with integer coefficients
 replaces, and fraction_closed_form_star, the same per-pair closed form summed in
-Fraction and ComplexRational arithmetic term by term, which the
-integer-coded Moyal star (one common denominator per factor, one
-Fraction pair per output term) replaces, and constant_matrix_product, the
+FractionPairComplex arithmetic term by term, which the integer-coded
+Moyal star (one common denominator per factor, one reduced integer
+triple per output term) replaces, and constant_matrix_product, the
 4x4 product of tuple matrices of ComplexRational that the spinor layer's
 one matrix product (entries are symbols, multiplied by the star product)
 replaces for constant matrices. dirac_basis_tables gives the textbook
@@ -26,6 +26,8 @@ the per-component Hermitian spinor Wigner sum that wigner_landau's single
 grid star replaces, and laguerre_coefficients gives the exact rational power-basis
 coefficients of L_n, evaluated in Fraction arithmetic, against which the
 generalized-Laguerre recurrence of the Landau eigenfunctions is checked.
+FractionPairComplex is the complex rational held as a pair of Fractions,
+which ComplexRational's one reduced Gaussian-integer triple replaces.
 row_by_row_field_csv is the CSV field dump written one csv.writer row and
 six format calls per grid point, which write_field_csv's per-axis
 formatting and one %-format per block of rows replaces. basis_sweep
@@ -37,6 +39,7 @@ call, which rayleigh_quotient's one rule per process replaces.
 
 import csv
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, prod
@@ -295,6 +298,77 @@ def exact_landau_polynomials(n: int, eB: Fraction, z: Fraction):
 
 
 # ---------------------------------------------------------------------------
+# complex rationals as a pair of Fractions
+
+
+@dataclass(frozen=True)
+class FractionPairComplex:
+    """Complex number with exact rational real and imaginary parts."""
+
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
+
+    @staticmethod
+    def of(value) -> "FractionPairComplex":
+        if isinstance(value, FractionPairComplex):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return FractionPairComplex(Fraction(value))
+        if isinstance(value, complex):
+            # exact binary floats convert losslessly through Fraction
+            return FractionPairComplex(Fraction(value.real), Fraction(value.imag))
+        if isinstance(value, float):
+            return FractionPairComplex(Fraction(value))
+        raise TypeError(f"cannot coerce {value!r} to FractionPairComplex")
+
+    def __add__(self, other):
+        other = FractionPairComplex.of(other)
+        return FractionPairComplex(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionPairComplex(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + (-FractionPairComplex.of(other))
+
+    def __rsub__(self, other):
+        return FractionPairComplex.of(other) + (-self)
+
+    def __mul__(self, other):
+        other = FractionPairComplex.of(other)
+        return FractionPairComplex(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = FractionPairComplex.of(other)
+        d = other.re * other.re + other.im * other.im
+        if d == 0:
+            raise ZeroDivisionError("division by zero ComplexRational")
+        return FractionPairComplex(
+            (self.re * other.re + self.im * other.im) / d,
+            (self.im * other.re - self.re * other.im) / d,
+        )
+
+    def conjugate(self) -> "FractionPairComplex":
+        return FractionPairComplex(self.re, -self.im)
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def to_complex(self) -> complex:
+        return complex(self.re) + 1j * complex(self.im)
+
+
+# ---------------------------------------------------------------------------
 # exact star product as a walk over derivative multi-indices
 
 
@@ -406,7 +480,7 @@ def _closed_form_pair_terms(a: int, b: int, c: int, d: int, sign: int) -> list:
 def fraction_closed_form_star(
     f: PhasePolynomial, g: PhasePolynomial, metric: MetricSignature = MOSTLY_MINUS
 ) -> PhasePolynomial:
-    """Exact star product by the per-pair closed form in Fraction arithmetic.
+    """Exact star product by the per-pair closed form in FractionPairComplex arithmetic.
 
     Each term pair multiplies by the per-pair closed form, for sign
     g = g^{mumu} of pair mu:
@@ -420,11 +494,13 @@ def fraction_closed_form_star(
     if f.dims != g.dims:
         raise ValueError(f"dimension mismatch: {f.dims} vs {g.dims}")
     terms: dict = {}
-    for key1, c1 in f.terms.items():
-        for key2, c2 in g.terms.items():
+    f_terms = [(key, FractionPairComplex(c.re, c.im)) for key, c in f.terms.items()]
+    g_terms = [(key, FractionPairComplex(c.re, c.im)) for key, c in g.terms.items()]
+    for key1, c1 in f_terms:
+        for key2, c2 in g_terms:
             c = c1 * c2
             # c times i^0, i^1, i^2, i^3
-            turns = (c, ComplexRational(-c.im, c.re), -c, ComplexRational(c.im, -c.re))
+            turns = (c, FractionPairComplex(-c.im, c.re), -c, FractionPairComplex(c.im, -c.re))
             pairs = [
                 _closed_form_pair_terms(
                     key1[mu], key1[4 + mu], key2[mu], key2[4 + mu], metric[mu]
@@ -435,12 +511,12 @@ def fraction_closed_form_star(
                 k = sum(t[0] for t in combo)
                 w = Fraction(prod(t[1] for t in combo), 2**k)
                 turned = turns[k % 4]
-                coeff = ComplexRational(turned.re * w, turned.im * w)
+                coeff = FractionPairComplex(turned.re * w, turned.im * w)
                 key = tuple(t[2] for t in combo) + tuple(t[3] for t in combo)
                 acc = terms.get(key)
                 terms[key] = coeff if acc is None else acc + coeff
     return PhasePolynomial._raw(
-        {key: coeff for key, coeff in terms.items() if coeff}, f.dims
+        {key: ComplexRational(c.re, c.im) for key, c in terms.items() if c}, f.dims
     )
 
 

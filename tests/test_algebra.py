@@ -1,7 +1,11 @@
 import ast
+import copy
 import importlib
+import operator
+import pickle
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -21,7 +25,9 @@ from phaseq import (
     q_var,
 )
 
-from oracles import eval_poly, random_poly, random_rational
+from phaseq.algebra import _from_integers
+
+from oracles import FractionPairComplex, eval_poly, random_poly, random_rational
 
 LIBRARY_MODULES = ("algebra", "confluent", "dirac", "grids", "landau", "parsing", "poincare", "star")
 # sorted(phaseq.__all__): the 62 public names and the 8 library modules
@@ -67,6 +73,105 @@ def test_complex_rational_identities():
     assert ComplexRational.of(Fraction(3, 2)).to_complex() == 1.5 + 0j
     with pytest.raises(ZeroDivisionError):
         CR_ONE / CR_ZERO
+
+
+def _seeded_value(rng):
+    """A ComplexRational and its FractionPairComplex reference, built from the same integers."""
+    scale = rng.choice((1, 1, 1, 10**20))
+    a, b = rng.randint(-3, 3) * scale, rng.randint(-3, 3)
+    d = rng.choice((1, 2, 3, 4, 6))
+    ref = FractionPairComplex(Fraction(a, d), Fraction(b, d))
+    if rng.random() < 0.5:
+        # int or Fraction parts; a shared denominator leaves the naive triple unreduced
+        parts = [a if d == 1 else Fraction(a, d), b if d == 1 else Fraction(b, d)]
+        return ComplexRational(*parts), ref
+    # the integer triple times a common factor
+    k = rng.choice((1, 2, 6, 35))
+    return _from_integers(k * a, k * b, k * d), ref
+
+
+def _assert_same(value, ref):
+    assert type(value) is ComplexRational
+    assert type(value.re) is Fraction and type(value.im) is Fraction
+    assert (value.re, value.im) == (ref.re, ref.im)
+    a, b, d = value._abd
+    assert d > 0 and gcd(a, b, d) == 1
+
+
+_PLAIN = [0, 1, -2, Fraction(3, 4), Fraction(-5, 6), 0.5, -0.375, 0.0, 1.5 + 0.25j, 2j, 0j]
+
+
+def test_complex_rational_matches_fraction_pair_reference():
+    rng = random.Random("complex-rational-reference")
+    values = [_seeded_value(rng) for _ in range(60)]
+    for value in _PLAIN:
+        _assert_same(ComplexRational.of(value), FractionPairComplex.of(value))
+    for x, rx in values:
+        _assert_same(x, rx)
+        _assert_same(-x, -rx)
+        _assert_same(x.conjugate(), rx.conjugate())
+        assert ComplexRational.of(x) is x
+        assert x.is_zero() == rx.is_zero() and bool(x) == bool(rx)
+        assert x.to_complex() == rx.to_complex()
+        for v in _PLAIN:
+            for op in (operator.add, operator.sub, operator.mul):
+                _assert_same(op(x, v), op(rx, v))
+                _assert_same(op(v, x), op(v, rx))
+            if v:
+                _assert_same(x / v, rx / v)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x / v
+    equal_pairs = 0
+    for x, rx in values:
+        for y, ry in values:
+            for op in (operator.add, operator.sub, operator.mul):
+                _assert_same(op(x, y), op(rx, ry))
+            if ry.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    x / y
+            else:
+                _assert_same(x / y, rx / ry)
+            assert (x == y) == (rx == ry) and (x != y) == (rx != ry)
+            if x == y:
+                assert hash(x) == hash(y)
+                equal_pairs += x is not y
+    # equal values built by different routes meet
+    assert equal_pairs > 0
+
+
+def test_complex_rational_value_semantics():
+    x = ComplexRational(Fraction(1, 2), -3)
+    assert x._abd == (1, -6, 2)
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(x, x)
+    # never a tuple: no equality with one, no length, no iteration
+    for plain in ((1, -6, 2), (Fraction(1, 2), Fraction(-3)), x._abd):
+        assert not x == plain and x != plain
+    with pytest.raises(TypeError):
+        len(x)
+    with pytest.raises(TypeError):
+        iter(x)
+    for name in ("re", "im", "_abd", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, Fraction(1))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert (x.re, x.im) == (Fraction(1, 2), Fraction(-3))
+    half = ComplexRational(Fraction(2, 4), 0)
+    assert half == ComplexRational(Fraction(1, 2))
+    assert hash(half) == hash(ComplexRational(Fraction(1, 2)))
+    zeros = [CR_ZERO, ComplexRational(), ComplexRational(0, Fraction(0, 5)), CR_ONE - CR_ONE,
+             CR_I * 0, _from_integers(0, 0, 12)]
+    assert all(zero._abd == (0, 0, 1) for zero in zeros)
+    assert repr(x) == "ComplexRational(re=Fraction(1, 2), im=Fraction(-3, 1))"
+    assert repr(CR_ZERO) == "ComplexRational(re=Fraction(0, 1), im=Fraction(0, 1))"
+    for copied in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert copied == x
+    # parts are exact: a float part is refused, as ComplexRational.of converts floats
+    with pytest.raises(TypeError, match="int or Fraction"):
+        ComplexRational(0.5)
 
 
 def test_metric_signature_validation():

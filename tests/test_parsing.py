@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import time
@@ -6,7 +7,10 @@ from fractions import Fraction
 import pytest
 
 import phaseq.parsing
+import phaseq.star
 from phaseq import (
+    MOSTLY_MINUS,
+    MOSTLY_PLUS,
     ParseError,
     PhasePolynomial,
     format_polynomial,
@@ -16,7 +20,7 @@ from phaseq import (
     q_var,
 )
 
-from oracles import polynomial_product_parse, random_poly
+from oracles import fraction_closed_form_star, polynomial_product_parse, random_poly
 
 
 def test_basic_expressions():
@@ -228,17 +232,77 @@ def test_parse_fuzz_matches_polynomial_product_oracle():
         assert outcome == _outcome(polynomial_product_parse, text, dims), (text, dims)
 
 
-def test_printed_product_parse_builds_two_fractions_per_term(monkeypatch):
-    # each output term gets one Fraction pair; every coefficient before it is integers
-    built = []
+def _count_calls(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that records each call's arguments."""
+    calls = []
+    original = owner.__dict__[name]
 
-    def counting_fraction(*args):
-        built.append(args)
-        return Fraction(*args)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(phaseq.parsing, "Fraction", counting_fraction)
-    for text, dims in _star_texts():
-        built.clear()
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_printed_product_parse_builds_no_fraction(monkeypatch):
+    # each output term's coefficient is built once, from integers; no Fraction is built
+    cases = [
+        (text, dims, _outcome(polynomial_product_parse, text, dims)) for text, dims in _star_texts()
+    ]
+    fractions = _count_calls(monkeypatch, Fraction, "__new__")
+    coefficients = _count_calls(monkeypatch, phaseq.parsing, "_from_integers")
+    for text, dims, expected in cases:
+        fractions.clear()
+        coefficients.clear()
         poly = parse_expression(text, dims)
-        assert len(built) == 2 * len(poly.terms) > 0
-        assert (poly, list(poly.terms)) == _outcome(polynomial_product_parse, text, dims)
+        assert fractions == []
+        assert len(coefficients) == len(poly.terms) > 0
+        assert poly == expected[0] and list(poly.terms) == expected[1]
+
+
+def test_star_product_and_printer_build_no_fraction(monkeypatch):
+    rng = random.Random("no-fraction")
+    cases = []
+    for _ in range(10):
+        f, g = random_poly(rng, 4, 3), random_poly(rng, 4, 3)
+        cases.append((f, g, fraction_closed_form_star(f, g)))
+    fractions = _count_calls(monkeypatch, Fraction, "__new__")
+    coefficients = _count_calls(monkeypatch, phaseq.star, "_from_integers")
+    for f, g, expected in cases:
+        fractions.clear()
+        coefficients.clear()
+        product = moyal_star(f, g)
+        text = format_polynomial(product)
+        assert fractions == []
+        assert len(coefficients) == len(product.terms) > 0
+        assert product == expected and parse_expression(text) == product
+
+
+def _printed_star_trials():
+    """The hand-written texts as printed, then seeded star trials: f, g, h, f*g and (f*g)*h."""
+    rng = random.Random("printer-pin")
+    texts = [format_polynomial(parse_expression(text)) for text in _HAND_WRITTEN]
+    for trial in range(20):
+        metric = (MOSTLY_MINUS, MOSTLY_PLUS)[trial % 2]
+        f, g, h = (random_poly(rng, 4, 3) for _ in range(3))
+        fg = moyal_star(f, g, metric)
+        texts += [format_polynomial(p) for p in (f, g, h, fg, moyal_star(fg, h, metric))]
+    return texts
+
+
+def test_printed_star_trials_pinned():
+    # the sha256 of the printed text, as the Fraction-pair printer printed it
+    texts = _printed_star_trials()
+    assert len(texts) == 116
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "535ab7eea48f7c2099079b1b601391d7a524e9fc88099cc782ba96603b8bae3d"
+
+
+@pytest.mark.parametrize("dims", [0, 5, 9, -1])
+def test_parse_refuses_dims_outside_one_to_four(dims):
+    # refused before any token is read, as PhasePolynomial refuses it
+    for text in ("1", "q3", "q0 + @"):
+        with pytest.raises(ValueError, match="dims must be between 1 and 4") as err:
+            parse_expression(text, dims)
+        assert not isinstance(err.value, ParseError)

@@ -15,7 +15,7 @@ import numpy as np
 import phaseq
 import phaseq.cli  # noqa: F401  (the tracer wraps cli.main)
 from phaseq import LandauParams, landau_amplitude, landau_grid
-from phaseq.algebra import PhasePolynomial
+from phaseq.algebra import CR_I, CR_ZERO, ComplexRational, PhasePolynomial
 
 
 def load_tracer(monkeypatch):
@@ -29,16 +29,22 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     tracer = load_tracer(monkeypatch)
     original_star = phaseq.moyal_star
     original_mul = PhasePolynomial.__dict__["__mul__"]
+    coeff_ops = ("__add__", "__radd__", "__mul__", "__rmul__")
+    original_coeff_ops = [ComplexRational.__dict__[name] for name in coeff_ops]
     t = tracer.Tracer()
     try:
         t.install()
         assert phaseq.moyal_star is not original_star
         assert phaseq.star.moyal_star is phaseq.moyal_star
+        # one call of each wrapped method
+        assert 1 + (2 * CR_I) * CR_I + 1 == CR_ZERO
+        assert t.counts["algebra.coeff_ops"] == 4
     finally:
         t.uninstall()
     assert phaseq.moyal_star is original_star
     assert phaseq.star.moyal_star is original_star
     assert PhasePolynomial.__dict__["__mul__"] is original_mul
+    assert [ComplexRational.__dict__[name] for name in coeff_ops] == original_coeff_ops
 
 
 def test_grid_star_transforms_go_through_numpy_fft(monkeypatch):
