@@ -55,13 +55,13 @@ def kummer_m(a: float, b: float, x: float) -> float:
     if _is_nonpositive_int(a):
         n = -int(a)
         _check_terms(f"terminating series for M({a}, {b}, x)", n + 1)
-        xf = Fraction(x)
+        xf, bf = Fraction(x), Fraction(b)
         total = Fraction(0)
         term = Fraction(1)
         for k in range(n + 1):
             total += term
             if k < n:
-                term *= Fraction(int(a) + k) * xf / Fraction(int(b) + k) / (k + 1)
+                term *= Fraction(int(a) + k) * xf / (bf + k) / (k + 1)
         return float(total)
     if abs(x) > MAX_SERIES_ARG:
         raise ValueError(

@@ -2,10 +2,11 @@
 
 Provides Fourier and finite-difference derivatives, L2 inner products,
 a numerical star product that is exact for band-limited fields (the
-twisted convolution in the mixed q-Fourier/p representation: two
-p-transform passes per q-mode of one factor, summed in q-Fourier space
-with a q-mode shift, then one inverse q transform, at O(N_q N log N)
-for N grid points and N_q modes on the q axes),
+twisted convolution in the mixed q-Fourier/p representation: per q-mode
+of one factor, one transform of each factor along each p axis, with f's
+transform along an outer p axis shared by the inner q-modes, summed in
+q-Fourier space with a q-mode shift, then one inverse q transform, at
+O(N_q N log N) for N grid points and N_q modes on the q axes),
 the Wigner function of a scalar amplitude (one grid star; a spinor's is
 a sum of these), and a two-route grid check of the phase-space
 Klein-Gordon operator.
@@ -281,20 +282,30 @@ def grid_star(f: Field, g: Field) -> Field:
         h(q, p) = sum_{a,c} exp(i(a+c)(q-lo)) f_a(p + sigma c/2) g_c(p - sigma a/2),
 
     where both p translations are pure phases in p-Fourier space, so the
-    result is exact for band-limited fields. For each q-mode c of g it
-    makes two O(N log N) p-transform passes, one for each factor; their
-    product, still indexed by the q-mode a of f, is shifted to the output
-    q-mode a + c and summed, and one inverse q transform closes the sum.
-    That is O(N_q N log N) in all for N grid points and N_q q-modes. An
-    axis in no pair is never transformed, so the product is plain along
+    result is exact for band-limited fields. Each translation is one phase
+    factor per pair, so each p axis is transformed on its own. The pair
+    with the later p axis is the inner one: for each q-mode c of g, f and
+    g are transformed along its p axis (the faster stride) once each.
+    With two pairs, f's transform along the outer p axis depends only on
+    the outer component of c and is shared by every inner q-mode, and g's
+    runs on the slice g_c times the outer twist, 1/n_q(inner) of the grid.
+    The product, still indexed by the q-mode a of f, is shifted to the
+    output q-mode a + c and summed, and one inverse q transform closes the
+    sum. That is O(N_q N log N) in all for N grid points and N_q q-modes.
+    An axis in no pair is never transformed, so the product is plain along
     it.
     """
     f._check(g)
     spec = f.spec
+    if not spec.pairs:
+        return Field(spec, bandlimit(f).values * bandlimit(g).values)
     ndim = len(spec.axes)
-    q_axes = tuple(qi for qi, _, _ in spec.pairs)
-    p_axes = tuple(pi for _, pi, _ in spec.pairs)
+    pairs = sorted(spec.pairs, key=lambda pair: pair[1])
+    q_axes = tuple(qi for qi, _, _ in pairs)
+    p_axes = tuple(pi for _, pi, _ in pairs)
     q_shape = tuple(spec.axes[qi].n for qi in q_axes)
+    # at most one outer pair: a grid has at most 4 axes
+    *outer, (qi, pi, s) = pairs
 
     def along(axis, values):
         shape = [1] * ndim
@@ -306,19 +317,28 @@ def grid_star(f: Field, g: Field) -> Field:
 
     fhat = np.fft.fftn(bandlimit(f).values, axes=q_axes + p_axes)
     ghat = np.fft.fftn(bandlimit(g).values, axes=q_axes + p_axes)
-    # shifts g_c by -sigma a/2 along p for every q-mode a of f
-    twist = np.exp(-0.5j * sum(s * k[qi] * k[pi] for qi, pi, s in spec.pairs))
+    # one twist per pair shifts g_c by -sigma a/2 along its p axis for
+    # every q-mode a of f
+    outer_twists = [np.exp(-0.5j * (so * k[qo] * k[po])) for qo, po, so in outer]
+    twist = np.exp(-0.5j * (s * k[qi] * k[pi]))
     acc = np.zeros(spec.shape, dtype=np.complex128)
-    for c in np.ndindex(*q_shape):
-        pick = [slice(None)] * ndim
-        shift = 0.0
-        for (qi, pi, s), ci in zip(spec.pairs, c):
+    pick = [slice(None)] * ndim
+    for c_outer in np.ndindex(*q_shape[:-1]):
+        f_outer = fhat
+        for (qo, po, so), co in zip(outer, c_outer):
+            pick[qo] = slice(co, co + 1)
+            f_outer = np.fft.ifft(
+                f_outer * np.exp(0.5j * (so * k[qo].flat[co] * k[po])), axis=po
+            )
+        for ci in range(q_shape[-1]):
             pick[qi] = slice(ci, ci + 1)
-            shift = shift + s * k[qi].flat[ci] * k[pi]
-        fs = np.fft.ifftn(fhat * np.exp(0.5j * shift), axes=p_axes)
-        gs = np.fft.ifftn(ghat[tuple(pick)] * twist, axes=p_axes)
-        # exp(i kappa_c (q - lo)) moves q-mode a to a + c on the grid
-        acc += np.roll(fs * gs, c, axis=q_axes)
+            g_outer = ghat[tuple(pick)]
+            for (qo, po, so), outer_twist in zip(outer, outer_twists):
+                g_outer = np.fft.ifft(g_outer * outer_twist, axis=po)
+            fs = np.fft.ifft(f_outer * np.exp(0.5j * (s * k[qi].flat[ci] * k[pi])), axis=pi)
+            gs = np.fft.ifft(g_outer * twist, axis=pi)
+            # exp(i kappa_c (q - lo)) moves q-mode a to a + c on the grid
+            acc += np.roll(fs * gs, c_outer + (ci,), axis=q_axes)
     return Field(spec, np.fft.ifftn(acc, axes=q_axes) / np.prod(q_shape))
 
 

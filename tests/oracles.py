@@ -6,6 +6,9 @@ numerical quadrature for the star product, the mode-shift grid star
 product that the mixed-representation algorithm replaces,
 three_pass_grid_star, the same mixed-representation star with one inverse
 q transform and plane wave per q-mode, which the q-Fourier accumulation
+replaces, two_pass_grid_star, that accumulation with one inverse transform
+over every p axis per factor and q-mode, which grid_star's one transform
+per p axis (an outer pair's f transform shared by the inner q-modes)
 replaces, the
 derivative-multi-index walk that the per-pair closed-form Moyal star
 replaces, direct numeric evaluation for the exact polynomial algebra,
@@ -249,6 +252,51 @@ def three_pass_grid_star(f: Field, g: Field) -> Field:
         gs = np.fft.ifftn(ghat[tuple(pick)] * twist, axes=p_axes)
         out += np.exp(1j * wave) * np.fft.ifftn(fs * gs, axes=q_axes)
     return Field(spec, out / np.prod(q_shape))
+
+
+def two_pass_grid_star(f: Field, g: Field) -> Field:
+    """Numerical star product in the mixed representation, two passes per mode.
+
+    The twisted convolution of grid_star, summed the same way: for each
+    q-mode c of g, both factors are shifted by one phase over every p axis
+    at once and transformed back along all p axes with one ifftn each;
+    their product is shifted to the output q-mode a + c in one q-Fourier
+    accumulator, and one inverse q transform closes the sum. grid_star
+    replaces each ifftn by one transform per p axis and shares f's
+    transform along an outer p axis across the inner q-modes; with one
+    pair the arithmetic is the same.
+    """
+    f._check(g)
+    spec = f.spec
+    ndim = len(spec.axes)
+    q_axes = tuple(qi for qi, _, _ in spec.pairs)
+    p_axes = tuple(pi for _, pi, _ in spec.pairs)
+    q_shape = tuple(spec.axes[qi].n for qi in q_axes)
+
+    def along(axis, values):
+        shape = [1] * ndim
+        shape[axis] = values.size
+        return values.reshape(shape)
+
+    # per-axis wavenumbers, broadcastable over the grid
+    k = [along(axis, ax.wavenumbers()) for axis, ax in enumerate(spec.axes)]
+
+    fhat = np.fft.fftn(bandlimit(f).values, axes=q_axes + p_axes)
+    ghat = np.fft.fftn(bandlimit(g).values, axes=q_axes + p_axes)
+    # shifts g_c by -sigma a/2 along p for every q-mode a of f
+    twist = np.exp(-0.5j * sum(s * k[qi] * k[pi] for qi, pi, s in spec.pairs))
+    acc = np.zeros(spec.shape, dtype=np.complex128)
+    for c in np.ndindex(*q_shape):
+        pick = [slice(None)] * ndim
+        shift = 0.0
+        for (qi, pi, s), ci in zip(spec.pairs, c):
+            pick[qi] = slice(ci, ci + 1)
+            shift = shift + s * k[qi].flat[ci] * k[pi]
+        fs = np.fft.ifftn(fhat * np.exp(0.5j * shift), axes=p_axes)
+        gs = np.fft.ifftn(ghat[tuple(pick)] * twist, axes=p_axes)
+        # exp(i kappa_c (q - lo)) moves q-mode a to a + c on the grid
+        acc += np.roll(fs * gs, c, axis=q_axes)
+    return Field(spec, np.fft.ifftn(acc, axes=q_axes) / np.prod(q_shape))
 
 
 def spinor_wigner_sum(psi):

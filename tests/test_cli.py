@@ -276,6 +276,16 @@ def test_specfun_eval(tmp_path, capsys, monkeypatch):
     assert [row.split(",")[1] for row in lines[1:]] == ["1", "-0.5", "-1"]
 
 
+def test_specfun_eval_terminating_kummer_m_with_noninteger_b(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for a, b, x, value in (("-1", "2.5", "1:1:1", 0.6), ("-2", "0.5", "1:1:1", -5 / 3)):
+        code, out, _ = run(
+            capsys, "specfun-eval", "--function", "kummer-m", "--a", a, "--b", b, "--x", x
+        )
+        assert code == 0
+        assert float(out.strip().splitlines()[1].split(",")[1]) == value
+
+
 def test_specfun_eval_out_of_domain(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, err = run(

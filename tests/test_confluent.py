@@ -57,6 +57,56 @@ def test_kummer_m_domain_errors():
     assert kummer_m(-1, -2, 3.0) == 2.5
 
 
+# M(2.08, 1.08, x) at x = -20, -19.6, ..., 20 (np.linspace(-20, 20, 101)),
+# from mpmath at 40 digits, rounded to 20; below x = 0 the Kummer
+# transformation leads to the terminating M(-1, 1.08, -x)
+KUMMER_M_208_108 = [
+    -3.6108357904201399438e-8, -5.2728495712911062278e-8, -7.6962715971530676389e-8,
+    -1.1228033566083586423e-7, -1.6372148123399172024e-7, -2.386030160004978288e-7,
+    -3.4753888704281569443e-7, -5.0591341239161492328e-7, -7.360062295910590782e-7,
+    -1.0700535362927224748e-6, -1.5546525988993943242e-6, -2.2570903458830580266e-6,
+    -3.2744232571542606329e-6, -4.7464840270394230563e-6, -6.8744812209900128074e-6,
+    -9.9475472692760150891e-6, -1.4380554075053750166e-5, -2.0767857883974743393e-5,
+    -2.995949494840367587e-5, -4.3168911267874338663e-5, -6.2124813794763005291e-5,
+    -8.9284484245671229876e-5, -1.2813228165249196915e-4, -1.8359553070054758994e-4,
+    -2.6262105707252058447e-4, -3.749697902605230054e-4, -5.3430447676118068158e-4,
+    -7.5966661381222079439e-4, -1.0774623516084077308e-3, -1.5241007527677511595e-3,
+    -2.149445726930909026e-3, -3.021243838919243024e-3, -4.2306529141345186066e-3,
+    -5.8988831904372951069e-3, -8.184708049338278737e-3, -1.1292093249257854132e-2,
+    -1.5476244443058194974e-2, -2.1044671679198511763e-2, -2.8346906502180119027e-2,
+    -3.7741452294617834849e-2, -4.9520060699170186702e-2, -6.3755352377016051185e-2,
+    -8.0014696698274444453e-2, -9.6845655292013756926e-2, -1.1087749846483752906e-1,
+    -1.1528561164600338772e-1, -9.7209434590019059799e-2, -3.3466023545800036563e-2,
+    1.164926944007626888e-1, 4.2205336231873735415e-1, 1.0,
+    2.0443523634343406644, 3.8740897644128180868, 7.009135725777184227,
+    1.2290858238313826903e+1, 2.1072493319172594192e+1, 3.5519123893178590071e+1,
+    5.9078916177645006938e+1, 9.7221508558915162205e+1, 1.5859234925593821243e+2,
+    2.5681352052627103717e+2, 4.1328774100372813435e+2, 6.6155671760200153193e+2,
+    1.0540645175703269399e+3, 1.6726374088950948221e+3, 2.6446998684523745452e+3,
+    4.1683341511881337121e+3, 6.5509598687086080744e+3, 1.0268969193690568818e+4,
+    1.6059574416207194791e+4, 2.5062128261424899228e+4, 3.9035363674254382018e+4,
+    6.0691047020394030382e+4, 9.4206006225822006134e+4, 1.4600728437070880304e+5,
+    2.2597522315412815233e+5, 3.4928565068760192795e+5, 5.392288125001992845e+5,
+    8.3152020899476390124e+5, 1.2808889766908501458e+6, 1.9711413627412695886e+6,
+    3.0305238924790704988e+6, 4.6551650005593919602e+6, 7.1448252813729480948e+6,
+    1.0957393392537216321e+7, 1.6791919078893363612e+7, 2.5715071740689033249e+7,
+    3.9353655070743560237e+7, 6.0187564515957789107e+7, 9.1995420425851422837e+7,
+    1.4053219230580968082e+8, 2.1455921719935445504e+8, 3.2740933290179795852e+8,
+    4.993643386598375577e+8, 7.6126523632472325979e+8, 1.1599927880928389581e+9,
+    1.7667848398461579757e+9, 2.6898550923446271556e+9, 4.0935325467540749861e+9,
+    6.2272833079653402818e+9, 9.4697058511466466863e+9,
+]
+
+
+def test_kummer_m_terminating_with_noninteger_b():
+    # the terminating series divides by (b + k), not by int(b) + k
+    assert kummer_m(-1, 2.5, 1) == 0.6
+    assert kummer_m(-2, 0.5, 1) == -5 / 3
+    assert abs(kummer_m(7.5, 3.5, -7.5) - -2.2101273532380962362e-6) <= 1e-15 * 2.3e-6
+    for x, want in zip(np.linspace(-20, 20, 101), KUMMER_M_208_108):
+        assert abs(kummer_m(2.08, 1.08, x) - want) <= 1e-14 * abs(want)
+
+
 def test_kummer_m_overflow_raises():
     # the series terms of M(1e6, 1, x) pass the float range long before
     # they start to shrink; the sum must not come back as inf

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from oracles import (
     row_by_row_field_csv,
     spinor_wigner_sum,
     three_pass_grid_star,
+    two_pass_grid_star,
 )
 
 
@@ -229,6 +232,43 @@ def test_grid_star_matches_three_pass_oracle(sizes, pairs):
     want = three_pass_grid_star(f, g).values
     got = grid_star(f, g).values
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("sizes, pairs", GRID_STAR_CASES, ids=GRID_STAR_IDS)
+def test_grid_star_matches_two_pass_oracle(sizes, pairs):
+    # with at most one pair the arithmetic is the replaced route's; two
+    # pairs transform one p axis at a time, so only the low bits may move
+    spec = GridSpec(
+        [Axis(f"a{i}", n, -2.0 - i, 3.0 + 0.5 * i) for i, n in enumerate(sizes)],
+        pairs=pairs,
+    )
+    rng = np.random.default_rng(2)
+    f, g = (
+        Field(spec, rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape))
+        for _ in range(2)
+    )
+    want = two_pass_grid_star(f, g).values
+    got = grid_star(f, g).values
+    if len(pairs) < 2:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("pairs", [[(0, 2, -1), (1, 3, -1)], [(0, 1, 1)]], ids=["two", "one"])
+def test_grid_star_leaves_no_reference_cycle(pairs):
+    # a cycle would keep the factors' transforms alive until the cyclic
+    # collector runs
+    spec = GridSpec([Axis(f"a{i}", 8, -3.0, 3.0) for i in range(4)], pairs=pairs)
+    amp = Field.from_function(spec, lambda a, b, c, d: np.exp(-(a * a + b * b + c * c + d * d)))
+    conj = amp.conjugate()
+    gc.collect()
+    gc.disable()
+    try:
+        grid_star(amp, conj)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_gaussian_idempotence():

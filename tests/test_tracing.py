@@ -10,8 +10,6 @@ second test pins the transforms one grid star makes.
 
 from pathlib import Path
 
-import numpy as np
-
 import phaseq
 import phaseq.cli  # noqa: F401  (the tracer wraps cli.main)
 from phaseq import LandauParams, landau_amplitude, landau_grid
@@ -57,12 +55,18 @@ def test_grid_star_transforms_go_through_numpy_fft(monkeypatch):
         phaseq.grid_star(amp, amp.conjugate())
     finally:
         t.uninstall()
-    n_q = int(np.prod([spec.axes[qi].n for qi, _, _ in spec.pairs]))
-    # per q-mode: the p transforms of both factors; then one inverse q
-    # transform; plus fftn and ifftn in each bandlimit and the two forward
-    # transforms
-    calls = 2 * n_q + 1 + 2 * 2 + 2
+    (qo, _, _), (qi, _, _) = spec.pairs
+    n_outer, n_inner = spec.axes[qo].n, spec.axes[qi].n
+    n_q = n_outer * n_inner
+    n = spec.total_points
+    # one line transform per p axis: per outer q-mode, f along the outer p
+    # axis; per q-mode, f and g along the inner p axis and g along the
+    # outer one on its 1/n_inner slice; then one inverse q transform, plus
+    # fftn and ifftn in each bandlimit and the two forward transforms
+    calls = n_outer + 3 * n_q + 1 + 2 * 2 + 2
+    points = (n_outer + 2 * n_q + 1 + 2 * 2 + 2) * n + n_q * n // n_inner
+    assert (calls, points) == (207, 618_496)
     assert t.calls["grids.grid_star"] == 1
     assert t.calls["grids.bandlimit"] == 2
     assert t.calls["fft"] == calls
-    assert t.counts["fft.points"] == calls * spec.total_points
+    assert t.counts["fft.points"] == points
