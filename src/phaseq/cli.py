@@ -58,6 +58,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_rows(*columns) -> str:
+    """One line per row of the columns, each value as _fmt prints it."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    return (line * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist())
+
+
 def _parse_range(text: str) -> range:
     """The levels of 'a..b' (inclusive), or of a single integer."""
     if ".." in text:
@@ -328,10 +334,7 @@ def _cmd_landau_eigen(args):
         )
     rel_res = float(np.max(np.abs(residual))) / float(np.max(np.abs(vals)))
     passed = rel_res <= args.tol and abs(rq - kappa) <= 1e-7 * kappa
-    rows = ["z,phi,ode_residual"]
-    for zi, vi, ri in zip(z, vals, residual):
-        rows.append(f"{_fmt(zi)},{_fmt(vi)},{_fmt(ri)}")
-    outputs = _emit(args, "\n".join(rows) + "\n")
+    outputs = _emit(args, "z,phi,ode_residual\n" + _csv_rows(z, vals, residual))
     print(
         f"n={args.n} eB={_fmt(args.eB)} kappa={_fmt(kappa)} "
         f"max_rel_residual={_fmt(rel_res)} rayleigh={_fmt(rq)} "
@@ -421,24 +424,24 @@ def _cmd_specfun_eval(args):
     if len(bits) != 3:
         raise ValueError("--x wants min:max:count")
     lo, hi, count = float(bits[0]), float(bits[1]), int(bits[2])
+    if count < 1:
+        raise ValueError(f"--x asks for {count} rows; a table needs at least 1")
     xs = _table_points(lo, hi, count, "--x")
     if not (math.isfinite(args.a) and math.isfinite(args.b)):
         raise ValueError(f"--a and --b must be finite, got a = {args.a}, b = {args.b}")
     if args.function == "kummer-m":
-        fn = lambda x: kummer_m(args.a, args.b, x)
+        values = kummer_m(args.a, args.b, xs)
     elif args.function == "kummer-u":
-        fn = lambda x: kummer_u(args.a, args.b, x)
+        values = kummer_u(args.a, args.b, xs)
     else:
-        fn = lambda x: laguerre(args.n, x)
-    values = [fn(float(x)) for x in xs]
-    bad = [x for x, v in zip(xs, values) if not math.isfinite(v)]
-    if bad:
+        values = laguerre(args.n, xs)
+    bad = ~np.isfinite(values)
+    if bad.any():
         raise ValueError(
             f"the {args.function} table is not finite in float arithmetic "
-            f"at x = {_fmt(bad[0])}; narrow --x"
+            f"at x = {_fmt(xs[np.argmax(bad)])}; narrow --x"
         )
-    rows = ["x,value"] + [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, values)]
-    return True, _emit(args, "\n".join(rows) + "\n")
+    return True, _emit(args, "x,value\n" + _csv_rows(xs, values))
 
 
 # -- parser wiring ----------------------------------------------------------

@@ -38,9 +38,16 @@ star-multiplies every residual, zero or not, onto every basis monomial,
 which AlgebraReport.sweep's decision by the residual symbol replaces.
 rayleigh_quotient_fresh builds its 400-point Gauss-Legendre rule on every
 call, which rayleigh_quotient's one rule per process replaces.
+per_row_kummer_m, per_row_kummer_u and per_row_laguerre evaluate one float
+x at a time, the terminating M series in Fraction arithmetic and two
+digamma calls per U term for every x; they are the route that the confluent
+functions' one array pass per table (the terminating series in integers
+over one denominator) replaces, and per_row_table runs one of them over a
+table as specfun-eval did.
 """
 
 import csv
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +56,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.special import digamma
 
 from phaseq import (
     CR_ZERO,
@@ -63,6 +71,13 @@ from phaseq import (
     monomial_basis,
     moyal_star,
     reduced_ode_apply,
+)
+from phaseq.confluent import (
+    MAX_SERIES_ARG,
+    SERIES_TERM_LIMIT,
+    _check_terms,
+    _is_nonpositive_int,
+    _laguerre,
 )
 from phaseq.parsing import _ALIASES, MAX_EXPONENT, MAX_NESTING, ParseError
 
@@ -870,3 +885,98 @@ def rayleigh_quotient_fresh(phi, params: LandauParams) -> float:
     if abs(denom) < 1e-300:
         raise ZeroDivisionError("vanishing norm in Rayleigh quotient")
     return float(np.sum(w * vals * op)) / denom
+
+
+def per_row_kummer_m(a: float, b: float, x: float) -> float:
+    """M(a, b, x) for one float x: the terminating series in Fraction
+    arithmetic, and otherwise the Kahan-compensated forward series, with
+    the Kummer transformation for x < 0."""
+    a, b, x = float(a), float(b), float(x)
+    if _is_nonpositive_int(b) and not (
+        _is_nonpositive_int(a) and int(a) > int(b)
+    ):
+        raise ValueError("M(a, b, x) has a pole for nonpositive integer b")
+    if _is_nonpositive_int(a):
+        n = -int(a)
+        _check_terms(f"terminating series for M({a}, {b}, x)", n + 1)
+        xf, bf = Fraction(x), Fraction(b)
+        total = Fraction(0)
+        term = Fraction(1)
+        for k in range(n + 1):
+            total += term
+            if k < n:
+                term *= Fraction(int(a) + k) * xf / (bf + k) / (k + 1)
+        return float(total)
+    if abs(x) > MAX_SERIES_ARG:
+        raise ValueError(
+            f"|x| = {abs(x)} exceeds the series domain limit {MAX_SERIES_ARG}"
+        )
+    if x < 0:
+        return math.exp(x) * per_row_kummer_m(b - a, b, -x)
+    total = 1.0
+    term = 1.0
+    comp = 0.0
+    for k in range(SERIES_TERM_LIMIT):
+        term *= (a + k) * x / ((b + k) * (k + 1))
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if not math.isfinite(total):
+            raise OverflowError(f"series for M({a}, {b}, {x}) overflows")
+        if abs(term) <= 1e-17 * max(abs(total), 1.0):
+            return total
+    raise RuntimeError("series for M(a, b, x) did not converge")
+
+
+def per_row_kummer_u(a: float, b: float, x: float) -> float:
+    """U(a, 1, x) for one float x: (-1)^n n! L_n(x) for a = -n, and
+    otherwise the logarithmic series with two digamma calls per term."""
+    a, b, x = float(a), float(b), float(x)
+    if b != 1.0:
+        raise ValueError("kummer_u supports b = 1 only")
+    if _is_nonpositive_int(a):
+        n = -int(a)
+        value = per_row_laguerre(n, x)
+        return ((-1.0) ** n) * math.factorial(n) * value
+    if x <= 0:
+        raise ValueError("U(a, 1, x) requires x > 0")
+    if x > MAX_SERIES_ARG:
+        raise ValueError(
+            f"x = {x} exceeds the series domain limit {MAX_SERIES_ARG}"
+        )
+    lnx = math.log(x)
+    prefactor = -1.0 / math.gamma(a)
+    total = 0.0
+    largest = 0.0
+    poch_over_fact2 = 1.0
+    for k in range(SERIES_TERM_LIMIT):
+        bracket = lnx + digamma(a + k) - 2.0 * digamma(1.0 + k)
+        term = poch_over_fact2 * bracket
+        total += term
+        largest = max(largest, abs(term))
+        poch_over_fact2 *= (a + k) * x / ((k + 1.0) * (k + 1.0))
+        if k > 4 and abs(term) <= 1e-17 * max(abs(total), 1.0):
+            if largest * 1e-16 > 1e-10 * max(abs(total), 1e-300):
+                raise ValueError(
+                    "cancellation in the logarithmic series exceeds the "
+                    f"accuracy budget at a={a}, x={x}; reduce x"
+                )
+            return prefactor * total
+    raise RuntimeError("series for U(a, 1, x) did not converge")
+
+
+def per_row_laguerre(n: int, x: float) -> float:
+    """L_n(x) for one float x by the recurrence."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("n must be a nonnegative integer")
+    return _laguerre(n, 0, float(x))
+
+
+def per_row_table(fn, xs):
+    """fn at each x in turn, as specfun-eval evaluated its table row by row:
+    (list of values, None), or (None, the first row's error)."""
+    try:
+        return [fn(float(x)) for x in xs], None
+    except (ValueError, OverflowError, RuntimeError, ZeroDivisionError) as exc:
+        return None, exc

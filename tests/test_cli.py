@@ -407,6 +407,11 @@ def test_kg_check_exit_codes(tmp_path, capsys, monkeypatch):
         ["star", "--expr1", "(" * 400 + "q0" + ")" * 400, "--expr2", "p0"],
         ["landau-eigen", "--z-max", "1e308"],
         ["landau-eigen", "--eB", "1e-110"],
+        ["specfun-eval", "--function", "kummer-u", "--a=-200.5", "--b", "1", "--x", "1:2:3"],
+        ["specfun-eval", "--function", "kummer-u", "--a=-175.5", "--x", "1:2:3"],
+        ["specfun-eval", "--function", "kummer-u", "--a", "172", "--x", "1:2:3"],
+        ["specfun-eval", "--function", "laguerre", "--x", "0:1:0"],
+        ["specfun-eval", "--function", "laguerre", "--x", "0:1:-1"],
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -436,6 +441,81 @@ def test_domain_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, a
 )
 def test_sweep_outputs_pinned(tmp_path, capsys, monkeypatch, argv, digest):
     # the sha256 of each sweep's stdout, as printed by the multiply-everything sweep
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--function", "kummer-u", "--a=-200.5", "--x", "1:2:3"],
+         "U(a, 1, x) needs 1/Gamma(a) as a finite float, which a = -200.5 does not give"),
+        (["--function", "kummer-u", "--a=-175.5", "--x", "1:2:3"],
+         "U(a, 1, x) needs 1/Gamma(a) as a finite float, which a = -175.5 does not give"),
+        (["--function", "kummer-u", "--a", "172", "--x", "1:2:3"],
+         "U(a, 1, x) needs 1/Gamma(a) as a finite float, which a = 172.0 does not give"),
+        (["--function", "kummer-u", "--a", "172", "--x", "0:2:3"], "U(a, 1, x) requires x > 0"),
+        (["--function", "laguerre", "--x", "0:1:0"], "--x asks for 0 rows; a table needs at least 1"),
+        (["--function", "laguerre", "--x", "0:1:-1"], "--x asks for -1 rows; a table needs at least 1"),
+    ],
+)
+def test_specfun_eval_refusal_messages(tmp_path, capsys, monkeypatch, argv, error):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "specfun-eval", *argv)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["specfun-eval", "--function", "kummer-m", "--a", "-3", "--b", "1", "--x", "0:20:101"],
+         "1e68f5eaf9f5ceeb24fe9d39bd14125462e7ba456357aa2cd90216f0a8d7f3cf"),
+        (["specfun-eval", "--function", "kummer-m", "--a", "-6", "--b", "2", "--x", "0:20:101"],
+         "bd95a2ba187bdf29500054cca93350aa261333d720c01c03eb5fe07365f7ca1a"),
+        (["specfun-eval", "--function", "kummer-m", "--a", "1.37", "--b", "2.11", "--x=-20:20:101"],
+         "4c46db50b802864d76072d0bfb0c3d99d3beb190cfb2947d72d648dedac67ee6"),
+        (["specfun-eval", "--function", "kummer-m", "--a", "2.08", "--b", "1.08", "--x=-20:20:101"],
+         "8a9488a9ebc93333b319f553128769111caa15dfe4b752b51eb89461d92b236b"),
+        (["specfun-eval", "--function", "kummer-m", "--a=-2", "--b", "0.5", "--x=-5:5:11"],
+         "185ac64461b498f4760bd8ebfc269923afac8ef277a61b8d701252109b24ccb5"),
+        (["specfun-eval", "--function", "kummer-m", "--a", "0.7", "--b", "1.3", "--x=-45:45:91"],
+         "3e9f445c1f6ec074cbbeaf4b03cc63306c766c865d2081c0f0c720787c7d2580"),
+        (["specfun-eval", "--function", "kummer-m", "--a=-1", "--b=-2", "--x", "0:3:7"],
+         "4216eb56328d64372d6be3a70c493f41e012eb78f61d01bcaf0d0072d08750f3"),
+        (["specfun-eval", "--function", "kummer-m", "--a", "7.5", "--b", "3.5", "--x=-7.5:-7.5:1"],
+         "3315e8ecdeab0d90bbcf63f7b7cc454333c7161f27d2eae6c507307217f43a45"),
+        (["specfun-eval", "--function", "kummer-m", "--a", "0", "--b", "1", "--x", "0:5:6"],
+         "765fa17cb7095171d898b794d6df308cddffac1d63fe27cb40646ad9a82a49d4"),
+        (["specfun-eval", "--function", "kummer-u", "--a", "1.43", "--x", "0.1:5:101"],
+         "afccc885e7067624ca36dbd31a8af2fb180b218657c1060fafa1daa1103ed459"),
+        (["specfun-eval", "--function", "kummer-u", "--a", "0.3", "--x", "0.05:10:40"],
+         "de49c51a2315149bb15956927cf4a7701812482d91832bf0617cc7d374ec3fbc"),
+        (["specfun-eval", "--function", "kummer-u", "--a=-3", "--x", "0:10:21"],
+         "a83d36db8e9e4dddceca17481c6079353980d484546086b3282a91158cd00f19"),
+        (["specfun-eval", "--function", "kummer-u", "--a", "0", "--x", "0:10:21"],
+         "20cc6433c4fa3014e173782d740bd66daf3d648e9bc50281d154d3f4a3e5f4ca"),
+        (["specfun-eval", "--function", "kummer-u", "--a", "2.3", "--x", "8.97948717948718:8.97948717948718:1"],
+         "6f0f97cfa5638de797cb5fe4e7ff6f0a95dc5caeb7869185f0ee131cd2b95b57"),
+        (["specfun-eval", "--function", "laguerre", "--n", "7", "--x", "0:30:101"],
+         "87f50455f67573f29b6d920dfefe20984e889114c0b3a7e1976743d5d2eb174c"),
+        (["specfun-eval", "--function", "laguerre", "--n", "0", "--x", "0:1:5"],
+         "c7852c2ac39b4a68a126953c525583773871c274a64d6106f118c0e2b5436dc3"),
+        (["specfun-eval", "--function", "laguerre", "--n", "999", "--x", "0:2:11"],
+         "e5d1bdb1717d9f787c10d0447e1b4128a5ea99e68afe3dc694aaae9558347cd5"),
+        (["landau-eigen"],
+         "313d96da20658466a3b35e8068e831edd8f38670505328d3ed1784eac545fe17"),
+        (["landau-eigen", "--n", "5", "--eB", "0.5", "--s=-1"],
+         "eede3e9e9513d0f85eb59e52f17793131ae032c023b67acee625d0af8d5aeea1"),
+        (["landau-eigen", "--n", "40", "--eB", "2"],
+         "cd42806d54a6f4ff2dc14caafc90a5988a49765e3cf937460ca19a408fb8d2a1"),
+        (["landau-eigen", "--n", "8", "--points", "11"],
+         "86f0d3401fc24d59b07a53ed837b718bfc10e35d0ebac243ced7f54c80f2e0db"),
+    ],
+)
+def test_table_outputs_pinned(tmp_path, capsys, monkeypatch, argv, digest):
+    # the sha256 of each table's stdout, as the per-row route printed it
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, *argv)
     assert code == 0

@@ -1,6 +1,9 @@
 import math
 import random
+import sys
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,13 @@ from scipy.special import eval_genlaguerre, eval_laguerre, hyp1f1, hyperu
 from phaseq import kummer_m, kummer_u, laguerre
 from phaseq.confluent import SERIES_TERM_LIMIT, _laguerre
 
-from oracles import laguerre_coefficients
+from oracles import (
+    laguerre_coefficients,
+    per_row_kummer_m,
+    per_row_kummer_u,
+    per_row_laguerre,
+    per_row_table,
+)
 
 
 def test_kummer_m_pinned_values():
@@ -234,3 +243,147 @@ def test_confluent_ode_residuals():
     for a, b, x in cases_u:
         r = residual(lambda t: kummer_u(a, b, t), a, b, x)
         assert abs(r) < 1e-6 * max(1.0, abs(kummer_u(a, b, x)))
+
+
+def routes(function, params):
+    """The one-pass function and its per-row route, each a function of x."""
+    if function == "kummer-m":
+        return (lambda x: kummer_m(params["a"], params["b"], x),
+                lambda x: per_row_kummer_m(params["a"], params["b"], x))
+    if function == "kummer-u":
+        return (lambda x: kummer_u(params["a"], params.get("b", 1), x),
+                lambda x: per_row_kummer_u(params["a"], params.get("b", 1), x))
+    return lambda x: laguerre(params["n"], x), lambda x: per_row_laguerre(params["n"], x)
+
+
+def assert_same_table(function, params, xs):
+    """Bit-identical values, or the same error type and text."""
+    table, row = routes(function, params)
+    want, want_error = per_row_table(row, xs)
+    try:
+        got, got_error = table(np.asarray(xs, float)), None
+    except (ValueError, OverflowError, RuntimeError) as exc:
+        got, got_error = None, exc
+    assert (type(got_error), str(got_error)) == (type(want_error), str(want_error)), params
+    if want is not None:
+        assert got.dtype == np.float64 and got.shape == (len(want),)
+        assert got.tobytes() == np.array(want).tobytes(), (function, params)
+    return got
+
+
+@lru_cache(maxsize=1)
+def grid_ops_tables():
+    """The distinct specfun-eval tables the grid-ops benchmark draws at
+    seeds 0-39, rounds 0-15, as (function, params, min:max:count)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    tables = set()
+    for seed in range(40):
+        for index in range(16):
+            for op in workloads.grid_ops_round(seed, index, False):
+                if isinstance(op, workloads.SpecFun):
+                    x = op.argv[op.argv.index("--function") + 2].split("=", 1)[1]
+                    tables.add((op.function, tuple(sorted(op.params.items())), x))
+    return sorted(tables)
+
+
+@pytest.mark.parametrize(
+    "function, x, least",
+    [
+        ("kummer-m", "0:20:101", 16),
+        ("kummer-m", "-20:20:101", 4000),
+        ("kummer-u", "0.1:5:101", 200),
+        ("laguerre", "0:30:101", 11),
+    ],
+)
+def test_tables_match_per_row_route_on_grid_ops_draws(function, x, least):
+    # every distinct table of the draws, bit for bit
+    lo, hi, count = x.split(":")
+    xs = np.linspace(float(lo), float(hi), int(count))
+    drawn = [dict(params) for name, params, at in grid_ops_tables() if (name, at) == (function, x)]
+    assert len(drawn) >= least
+    for params in drawn:
+        assert_same_table(function, params, xs)
+
+
+NAN = math.nan
+EDGE_TABLES = [
+    # a nonpositive integer a with a non-integer b, and a terminating
+    # series before its denominator pole
+    ("kummer-m", {"a": -3, "b": 2.5}, np.linspace(-10, 10, 21)),
+    ("kummer-m", {"a": -2, "b": 0.5}, np.linspace(-50, 50, 11)),
+    ("kummer-m", {"a": -5, "b": -7.5}, np.linspace(0, 9, 10)),
+    ("kummer-m", {"a": -1, "b": -2}, np.linspace(0, 3, 7)),
+    ("kummer-m", {"a": 0, "b": 1}, np.linspace(-5, 5, 6)),
+    # a = b + 1: x < 0 reaches the terminating M(-1, b, -x)
+    ("kummer-m", {"a": 2.08, "b": 1.08}, np.linspace(-20, 20, 101)),
+    ("kummer-m", {"a": 7.5, "b": 6.5}, np.linspace(-10, 0, 11)),
+    ("kummer-m", {"a": 7.5, "b": 3.5}, [-7.5]),
+    ("kummer-m", {"a": 0.7, "b": 1.3}, np.linspace(-45, 45, 91)),
+    # U on its polynomial branch
+    ("kummer-u", {"a": 0}, np.linspace(0, 10, 21)),
+    ("kummer-u", {"a": -3}, np.linspace(0, 10, 21)),
+    ("kummer-u", {"a": -3}, [0, 1e300]),
+    ("laguerre", {"n": 0}, np.linspace(0, 1, 5)),
+    ("laguerre", {"n": 999}, np.linspace(0, 2, 11)),
+    # the first failing row decides, whatever its kind: domain, overflow,
+    # the transformed series' length and cancellation on the first, a
+    # middle and the last row
+    ("kummer-m", {"a": 0.5, "b": 1.5}, [60, 1, 2]),
+    ("kummer-m", {"a": 0.5, "b": 1.5}, [1, -60, 2]),
+    ("kummer-m", {"a": 0.5, "b": 1.5}, [1, 2, 60]),
+    ("kummer-m", {"a": 1e6, "b": 1}, [5, 0, -5]),
+    ("kummer-m", {"a": 1e6, "b": 1}, [0, -5, 5]),
+    ("kummer-m", {"a": 1e6, "b": 1}, [0, 60, -5]),
+    ("kummer-m", {"a": 1e6, "b": 1}, [0, 0, 5]),
+    ("kummer-m", {"a": -8, "b": 1e-300}, [0, 0, 50]),
+    ("kummer-m", {"a": -8, "b": 1e-300}, [0, 50, 0]),
+    ("kummer-m", {"a": -2, "b": 1}, [0, 1e300, 1e-300]),
+    ("kummer-m", {"a": 0.5, "b": 1.5}, [1, NAN]),
+    ("kummer-m", {"a": -2, "b": 1}, [1, NAN, math.inf]),
+    ("kummer-u", {"a": 0.3}, [45, 0, 60]),
+    ("kummer-u", {"a": 0.3}, [1, 45, 0]),
+    ("kummer-u", {"a": 0.3}, [1, 2, 45]),
+    ("kummer-u", {"a": 0.3}, [1, 60, 45]),
+    ("kummer-u", {"a": 0.3}, [0, 1, 2]),
+    ("kummer-u", {"a": 0.3}, [1, 2, -1]),
+    ("kummer-u", {"a": 0.3}, [1, NAN, 45]),
+    ("kummer-u", {"a": 1.43, "b": 2}, [1, 2]),
+    ("kummer-u", {"a": -1e4}, [1, 2]),
+    ("kummer-m", {"a": -1e9, "b": 1}, [0, 1]),
+    ("kummer-m", {"a": 0.5, "b": 0}, [0, 1]),
+    # single-row tables
+    ("kummer-m", {"a": -6, "b": 2}, [7.3]),
+    ("kummer-m", {"a": 1.37, "b": 2.11}, [-13.2]),
+    ("kummer-m", {"a": 1.37, "b": 2.11}, [13.2]),
+    ("kummer-u", {"a": 1.43}, [2.9]),
+    ("kummer-u", {"a": 2.3}, [8.97948717948718]),
+    ("laguerre", {"n": 7}, [11.5]),
+]
+
+
+@pytest.mark.parametrize("function, params, xs", EDGE_TABLES)
+def test_edge_tables_match_per_row_route(function, params, xs):
+    values = assert_same_table(function, params, xs)
+    if values is not None:
+        # a float x gives a float, the table's value at that row
+        table, _ = routes(function, params)
+        for x, want in zip(xs, values):
+            got = table(x)
+            assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("a", [-1e6 - 0.5, -200.5, -178.5, -177.5, -171.5, 171.7, 172.0, 1e6, NAN])
+def test_kummer_u_refuses_a_without_finite_reciprocal_gamma(a):
+    # Gamma(a) underflows to -0.0 below -178.5, is subnormal (1/Gamma(a)
+    # overflows) from about -177.5 to -171.5, and overflows above 171.6
+    with pytest.raises(ValueError, match=f"which a = {a} does not give"):
+        kummer_u(a, 1.0, np.array([1.0, 2.0]))
+    # a row's own x check still comes first
+    with pytest.raises(ValueError, match="requires x > 0"):
+        kummer_u(a, 1.0, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="which a"):
+        kummer_u(a, 1.0, np.array([1.0, 0.0]))

@@ -70,3 +70,31 @@ def test_grid_star_transforms_go_through_numpy_fft(monkeypatch):
     assert t.calls["grids.bandlimit"] == 2
     assert t.calls["fft"] == calls
     assert t.counts["fft.points"] == points
+
+
+def test_one_confluent_call_per_table(monkeypatch, tmp_path, capsys):
+    # EXPECTED_CALLS["grid-ops"] needs a confluent span for each function:
+    # specfun-eval reaches each by its public name, once per table
+    tracer = load_tracer(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    tables = [
+        (["--function", "kummer-m", "--a", "-6", "--b", "2", "--x", "0:20:101"], "kummer_m"),
+        (["--function", "kummer-m", "--a", "1.37", "--b", "2.11", "--x=-20:20:101"], "kummer_m"),
+        (["--function", "kummer-m", "--a", "2.08", "--b", "1.08", "--x=-20:20:101"], "kummer_m"),
+        (["--function", "kummer-u", "--a", "1.43", "--x", "0.1:5:101"], "kummer_u"),
+        (["--function", "kummer-u", "--a=-3", "--x", "0.1:5:101"], "kummer_u"),
+        (["--function", "laguerre", "--n", "7", "--x", "0:30:101"], "laguerre"),
+    ]
+    for argv, name in tables:
+        t = tracer.Tracer()
+        try:
+            t.install()
+            assert phaseq.cli.main(["specfun-eval", *argv]) == 0
+        finally:
+            t.uninstall()
+        traced = {k: v for k, v in t.calls.items() if k.startswith("confluent.")}
+        # U(-n, 1, x) = (-1)^n n! L_n(x) evaluates its table with laguerre
+        also = {"confluent.laguerre": 1} if "--a=-3" in argv else {}
+        assert traced == {f"confluent.{name}": 1, **also}, argv
+        assert t.calls["cli.main"] == 1
+    capsys.readouterr()
