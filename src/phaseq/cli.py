@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -21,7 +22,13 @@ import numpy as np
 from . import __version__
 from .algebra import MOSTLY_MINUS, MOSTLY_PLUS, ComplexRational, PhasePolynomial
 from .confluent import SERIES_TERM_LIMIT, kummer_m, kummer_u, laguerre
-from .dirac import GammaRep, clifford_report, dirac_square_check, standard_gamma_rep
+from .dirac import (
+    GammaRep,
+    clifford_report,
+    dirac_square_check,
+    standard_gamma_rep,
+    symbol_matrix,
+)
 from .grids import (
     Axis,
     Field,
@@ -180,12 +187,32 @@ def _cmd_casimir_check(args):
     return report.passed, _emit_json(args, report.to_dict())
 
 
+# Fraction's decimal form with an exponent: [sign] digits [. digits] e [sign] digits
+_EXPONENT_FORM = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
+    r"[eE]([-+]?\d+(?:_\d+)*)\s*"
+)
+
+
+def _exponent_digits(text: str) -> int:
+    """The most digits Fraction(text) gives its numerator or denominator
+    before reducing, when text has a decimal exponent; 0 otherwise, since
+    the other forms only build integers that int()'s digit limit bounds."""
+    m = _EXPONENT_FORM.fullmatch(text)
+    if not m:
+        return 0
+    whole, frac, exp = (part.replace("_", "") for part in m.groups(""))
+    e = int(exp)
+    return max(len(whole) + len(frac) + e, len(frac) - e + 1)
+
+
 def _load_gamma_file(path, metric) -> GammaRep:
     """Read four gamma matrices from JSON: {"gamma": [[[re, im], ...x4]x4]x4}.
 
     Entries are strings or numbers accepted by Fraction. The matrices are
     checked as a representation in their own basis under `metric`; any
-    other shape is a ValueError.
+    other shape, or an entry whose exponent would build an integer longer
+    than Python's int-string digit limit, is a ValueError.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -203,17 +230,21 @@ def _load_gamma_file(path, metric) -> GammaRep:
         raise ValueError(
             f"{path}: want {{\"gamma\": [...]}} with 4 matrices of 4 rows of 4 [re, im] pairs"
         )
+    limit = sys.get_int_max_str_digits()
+    parts = [str(part) for mat in mats for row in mat for c in row for part in c]
+    if limit and any(_exponent_digits(part) > limit for part in parts):
+        raise ValueError(f"{path}: an entry would need an integer of more than {limit} digits")
 
     try:
         gammas = tuple(
-            tuple(
-                tuple(
-                    PhasePolynomial.constant(
+            symbol_matrix(
+                {
+                    (i, j): PhasePolynomial.constant(
                         ComplexRational(Fraction(str(re)), Fraction(str(im)))
                     )
-                    for re, im in row
-                )
-                for row in mat
+                    for i, row in enumerate(mat)
+                    for j, (re, im) in enumerate(row)
+                }
             )
             for mat in mats
         )

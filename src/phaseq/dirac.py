@@ -1,11 +1,13 @@
 """Gamma matrices, sigma blocks and the Dirac square, in one algebra of
-4x4 matrices of phase-space symbols.
+matrices of phase-space symbols.
 
-A matrix is a 4x4 tuple of row tuples of PhasePolynomial entries. It acts
-on spinors by left star multiplication, and the product of two matrices
-sums the star products of their entries, so a matrix of constants (the
-gamma matrices) and a matrix of symbols (gamma^mu P_mu) multiply through
-the same route. Entries are exact, and ``==`` on two matrices is literal
+A matrix is the read-only map {(row, col): PhasePolynomial} of its nonzero
+entries, built by symbol_matrix; a missing entry is zero, so a 4x1 spinor
+is a map whose keys all have column 0. A matrix acts on spinors by left
+star multiplication, and the product of two matrices sums the star
+products of their nonzero entry pairs, so a matrix of constants (the gamma
+matrices) and a matrix of symbols (gamma^mu P_mu) multiply through the
+same route. Entries are exact, and ``==`` on two matrices is mapping
 equality, so every Clifford-algebra identity is decided exactly.
 """
 
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from types import MappingProxyType
 
 from .algebra import (
     CR_I,
@@ -37,54 +40,49 @@ __all__ = [
     "dirac_square_check",
 ]
 
-Matrix = tuple  # 4x4 nested tuples of PhasePolynomial
+_ZERO = PhasePolynomial.zero()
+_HALF_I = ComplexRational(Fraction(0), Fraction(1, 2))
 
 
-def _diag(value) -> Matrix:
+def symbol_matrix(entries) -> MappingProxyType:
+    """The read-only map of the nonzero entries of {(row, col): PhasePolynomial}.
+
+    Read-only because matrices are shared: standard_gamma_rep is cached.
+    """
+    return MappingProxyType({key: x for key, x in entries.items() if not x.is_zero()})
+
+
+def _diag(value) -> MappingProxyType:
     """value * I, for a number or a phase-space symbol."""
     if not isinstance(value, PhasePolynomial):
         value = PhasePolynomial.constant(value)
-    zero = PhasePolynomial.zero()
-    return tuple(tuple(value if i == j else zero for j in range(4)) for i in range(4))
+    return symbol_matrix({(i, i): value for i in range(4)})
 
 
-def mat_identity() -> Matrix:
-    return _diag(1)
+def mat_mul(a, b, metric: MetricSignature = MOSTLY_MINUS) -> MappingProxyType:
+    """a * b, each entry the sum over k of the star products a[i, k] * b[k, j],
+    taken over the pairs of nonzero entries only."""
+    b_rows: dict = {}
+    for (k, j), y in b.items():
+        b_rows.setdefault(k, []).append((j, y))
+    out: dict = {}
+    for (i, k), x in a.items():
+        for j, y in b_rows.get(k, ()):
+            xy = moyal_star(x, y, metric)
+            out[i, j] = out[i, j] + xy if (i, j) in out else xy
+    return symbol_matrix(out)
 
 
-def mat_zero() -> Matrix:
-    return _diag(0)
+def mat_add(a, b) -> MappingProxyType:
+    out = dict(a)
+    for key, y in b.items():
+        out[key] = out[key] + y if key in out else y
+    return symbol_matrix(out)
 
 
-def mat_mul(a: Matrix, b: Matrix, metric: MetricSignature = MOSTLY_MINUS) -> Matrix:
-    """a * b, each entry the sum over k of the star products a[i][k] * b[k][j]."""
-    return tuple(
-        tuple(
-            sum(
-                (moyal_star(a[i][k], b[k][j], metric) for k in range(4)),
-                PhasePolynomial.zero(),
-            )
-            for j in range(4)
-        )
-        for i in range(4)
-    )
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(a[i][j] + b[i][j] for j in range(4)) for i in range(4))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(a[i][j] - b[i][j] for j in range(4)) for i in range(4))
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
+def mat_scale(c, a) -> MappingProxyType:
     """c * a for a number c."""
-    return tuple(tuple(a[i][j].scale(c) for j in range(4)) for i in range(4))
-
-
-def anticommutator(a: Matrix, b: Matrix, metric: MetricSignature = MOSTLY_MINUS) -> Matrix:
-    return mat_add(mat_mul(a, b, metric), mat_mul(b, a, metric))
+    return symbol_matrix({key: x.scale(c) for key, x in a.items()})
 
 
 # 2x2 tables: the identity, i*sigma_2 and the Pauli matrices
@@ -93,14 +91,14 @@ _I_SIGMA2 = ((0, 1), (-1, 0))
 _PAULI = (((0, 1), (1, 0)), ((0, -1j), (1j, 0)), ((1, 0), (0, -1)))
 
 
-def _kron(a, b) -> Matrix:
+def _kron(a, b) -> MappingProxyType:
     """The Kronecker product of two 2x2 tables of 0, +-1 and +-1j, as a constant matrix."""
-    return tuple(
-        tuple(
-            PhasePolynomial.constant(a[i // 2][j // 2] * b[i % 2][j % 2])
+    return symbol_matrix(
+        {
+            (i, j): PhasePolynomial.constant(a[i // 2][j // 2] * b[i % 2][j % 2])
+            for i in range(4)
             for j in range(4)
-        )
-        for i in range(4)
+        }
     )
 
 
@@ -136,12 +134,12 @@ def _products(rep: GammaRep) -> list:
     return [[mat_mul(a, b, rep.metric) for b in rep.gamma] for a in rep.gamma]
 
 
-def _half_i_commutator(ab: Matrix, ba: Matrix) -> Matrix:
+def _half_i_commutator(ab, ba) -> MappingProxyType:
     """(i/2) (ab - ba): sigma^{mu nu} from gamma^mu gamma^nu and gamma^nu gamma^mu."""
-    return mat_scale(ComplexRational(Fraction(0), Fraction(1, 2)), mat_sub(ab, ba))
+    return mat_add(mat_scale(_HALF_I, ab), mat_scale(-_HALF_I, ba))
 
 
-def _sigma_block(products: list, mu: int, nu: int) -> Matrix:
+def _sigma_block(products: list, mu: int, nu: int) -> MappingProxyType:
     """sigma^{mu nu} from the 16 gamma products of _products."""
     return _half_i_commutator(products[mu][nu], products[nu][mu])
 
@@ -154,7 +152,7 @@ def _derived_tables(products: list, metric: MetricSignature) -> tuple:
     return gamma5, alpha, tuple(mat_mul(gamma5, a, metric) for a in alpha)
 
 
-def sigma(mu: int, nu: int, rep: GammaRep) -> Matrix:
+def sigma(mu: int, nu: int, rep: GammaRep) -> MappingProxyType:
     """sigma^{mu nu} = (i/2) [gamma^mu, gamma^nu], from the two products it needs."""
     if not (0 <= mu < 4 and 0 <= nu < 4):
         raise ValueError("index out of range")
@@ -165,18 +163,18 @@ def sigma(mu: int, nu: int, rep: GammaRep) -> Matrix:
 def gamma_product_decomposition(rep: GammaRep) -> ComplexRational:
     """The unique c with gamma^mu gamma^nu = g^{mu nu} I + c sigma^{mu nu} for all mu != nu.
 
-    The off-diagonal metric vanishes, so c is read from one nonzero entry
-    of sigma^{01}, and every product must equal c sigma^{mu nu} exactly.
+    The off-diagonal metric vanishes, so c is read from the first nonzero
+    entry of sigma^{01} in row-major order, and every product must equal
+    c sigma^{mu nu} exactly.
     Raises ValueError when sigma^{01} is zero or no consistent c exists (a
     broken representation).
     """
     products = _products(rep)
     s01 = _sigma_block(products, 0, 1)
-    nonzero = [(i, j) for i in range(4) for j in range(4) if not s01[i][j].is_zero()]
-    if not nonzero:
+    if not s01:
         raise ValueError("degenerate sigma block")
-    i, j = nonzero[0]
-    c = products[0][1][i][j].constant_term() / s01[i][j].constant_term()
+    key = min(s01)
+    c = products[0][1].get(key, _ZERO).constant_term() / s01[key].constant_term()
     for mu, nu in permutations(range(4), 2):
         if products[mu][nu] != mat_scale(c, _sigma_block(products, mu, nu)):
             raise ValueError("no consistent decomposition constant")
@@ -200,7 +198,7 @@ def clifford_report(rep: GammaRep) -> dict:
     failures = []
     for mu in range(4):
         for nu in range(4):
-            want = mat_scale(2 * metric[mu] if mu == nu else 0, mat_identity())
+            want = _diag(2 * metric[mu] if mu == nu else 0)
             if mat_add(products[mu][nu], products[nu][mu]) != want:
                 failures.append(f"anticommutator({mu},{nu})")
     # sigma^{0j} = i g_00 alpha^j and sigma^{ij} = g_00 Sigma^k for cyclic
@@ -217,10 +215,10 @@ def clifford_report(rep: GammaRep) -> dict:
     except ValueError as exc:
         failures.append(f"decomposition: {exc}")
         const_str = None
-    if mat_mul(gamma5, gamma5, metric) != mat_identity():
+    if mat_mul(gamma5, gamma5, metric) != _diag(1):
         failures.append("gamma5^2 != I")
-    for mu in range(4):
-        if anticommutator(gamma5, rep.gamma[mu], metric) != mat_zero():
+    for mu, g in enumerate(rep.gamma):
+        if mat_add(mat_mul(gamma5, g, metric), mat_mul(g, gamma5, metric)):
             failures.append(f"gamma5 anticommutator with gamma^{mu}")
     return {
         "pass": not failures,
@@ -242,13 +240,13 @@ def dirac_square_check(
     R[a][slot] is the zero symbol, and `checked` counts 16 C(8 + d, d).
     """
     rep = standard_gamma_rep(metric)
-    slash = mat_zero()
+    slash = symbol_matrix({})
     for mu in range(4):
         p_mu = _diag(p_var(mu).scale(metric[mu]))
         slash = mat_add(slash, mat_mul(p_mu, rep.gamma[mu], metric))
-    residual = mat_sub(mat_mul(slash, slash, metric), _diag(casimir_p2(metric)))
+    residual = mat_add(mat_mul(slash, slash, metric), _diag(-casimir_p2(metric)))
     report = AlgebraReport()
     cells = [(slot, a) for slot in range(4) for a in range(4)]
-    pairs = [(f"diracsq[slot={s},row={a}]", residual[a][s]) for s, a in cells]
+    pairs = [(f"diracsq[slot={s},row={a}]", residual.get((a, s), _ZERO)) for s, a in cells]
     report.sweep(pairs, max_degree, metric)
     return report

@@ -22,9 +22,16 @@ Moyal star (one common denominator per factor, one reduced integer
 triple per output term) replaces, and constant_matrix_product, the
 4x4 product of tuple matrices of ComplexRational that the spinor layer's
 one matrix product (entries are symbols, multiplied by the star product)
-replaces for constant matrices. dirac_basis_tables gives the textbook
+replaces for constant matrices. dense_matrix_product is that product on
+nested-tuple matrices of symbols, with the star products of all 64 entry
+pairs of a 4x4 product, which the product over nonzero entry pairs of the
+read-only entry maps replaces; sparse_matrix and dense_matrix convert
+between the two forms. dirac_basis_tables gives the textbook
 Kronecker tables of gamma5, alpha and Sigma, against which the tables
-clifford_report derives from the gammas are checked. spinor_wigner_sum is
+clifford_report derives from the gammas are checked. commutative_star and
+pair1_flipped_star are wrong star products, and mutate_star patches one
+into every module that multiplies, so a test can require that a physics
+check fails under it. spinor_wigner_sum is
 the per-component Hermitian spinor Wigner sum that wigner_landau's single
 grid star replaces, and laguerre_coefficients gives the exact rational power-basis
 coefficients of L_n, evaluated in Fraction arithmetic, against which the
@@ -53,11 +60,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, prod
+from types import MappingProxyType
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import digamma
 
+import phaseq.dirac
+import phaseq.poincare
+import phaseq.star
 from phaseq import (
     CR_ZERO,
     MOSTLY_MINUS,
@@ -584,7 +595,8 @@ def fraction_closed_form_star(
 
 
 # ---------------------------------------------------------------------------
-# spinor matrices of constants, multiplied in ComplexRational arithmetic
+# spinor matrices: constants in ComplexRational arithmetic, and symbols
+# in the dense nested-tuple form
 
 
 def constant_matrix_product(a, b):
@@ -597,16 +609,48 @@ def constant_matrix_product(a, b):
     )
 
 
+def dense_matrix_product(a, b, metric=MOSTLY_MINUS):
+    """a * b for nested-tuple matrices of symbols: each entry the sum over
+    every k of the star products a[i][k] * b[k][j], zero factors included."""
+    return tuple(
+        tuple(
+            sum(
+                (moyal_star(a[i][k], b[k][j], metric) for k in range(len(b))),
+                PhasePolynomial.zero(),
+            )
+            for j in range(len(b[0]))
+        )
+        for i in range(len(a))
+    )
+
+
+def sparse_matrix(rows):
+    """The read-only map {(i, j): entry} of a nested-tuple matrix's nonzero entries."""
+    return MappingProxyType(
+        {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if not x.is_zero()}
+    )
+
+
+def dense_matrix(m, shape=(4, 4)):
+    """The nested-tuple matrix of a map of nonzero entries, zeros filled in."""
+    rows, cols = shape
+    return tuple(
+        tuple(m.get((i, j), PhasePolynomial.zero()) for j in range(cols)) for i in range(rows)
+    )
+
+
 # the 2x2 identity and the Pauli matrices, as tables of 0, +-1 and +-1j
 _I2 = ((1, 0), (0, 1))
 _PAULI = (((0, 1), (1, 0)), ((0, -1j), (1j, 0)), ((1, 0), (0, -1)))
 
 
 def _kron(a, b):
-    """The Kronecker product of two 2x2 tables, as a 4x4 matrix of constant symbols."""
-    return tuple(
-        tuple(PhasePolynomial.constant(a[i // 2][j // 2] * b[i % 2][j % 2]) for j in range(4))
-        for i in range(4)
+    """The Kronecker product of two 2x2 tables, as a map of constant symbols."""
+    return sparse_matrix(
+        tuple(
+            tuple(PhasePolynomial.constant(a[i // 2][j // 2] * b[i % 2][j % 2]) for j in range(4))
+            for i in range(4)
+        )
     )
 
 
@@ -619,6 +663,34 @@ def dirac_basis_tables():
         tuple(_kron(_PAULI[0], s) for s in _PAULI),
         tuple(_kron(_I2, s) for s in _PAULI),
     )
+
+
+# ---------------------------------------------------------------------------
+# mutation controls: wrong star products that a physics check must notice
+
+
+def commutative_star(f, g, metric=MOSTLY_MINUS):
+    """The commutative product f * g in place of the star product."""
+    return f * g
+
+
+def _flip_p1(f):
+    """T f with T: p1 -> -p1."""
+    return PhasePolynomial._raw(
+        {key: -c if key[5] % 2 else c for key, c in f.terms.items()}, f.dims
+    )
+
+
+def pair1_flipped_star(f, g, metric=MOSTLY_MINUS):
+    """The star product with pair 1's sign flipped, as T(T f * T g) with T: p1 -> -p1."""
+    return _flip_p1(moyal_star(_flip_p1(f), _flip_p1(g), metric))
+
+
+def mutate_star(monkeypatch, product):
+    """Make every exact check multiply with `product` for the rest of the test:
+    these three modules hold every moyal_star an exact check calls."""
+    for module in (phaseq.star, phaseq.poincare, phaseq.dirac):
+        monkeypatch.setattr(module, "moyal_star", product)
 
 
 # ---------------------------------------------------------------------------

@@ -48,11 +48,7 @@ from phaseq import (
     wigner_from_amplitude,
     wigner_landau,
 )
-from phaseq.dirac import (
-    anticommutator,
-    mat_identity,
-    mat_scale,
-)
+from phaseq.dirac import _diag, mat_add, mat_mul, mat_scale
 
 from oracles import (
     bopp_momentum,
@@ -137,10 +133,9 @@ def test_criterion_04_clifford_and_sigma_blocks():
         rep = standard_gamma_rep(metric)
         for mu in range(4):
             for nu in range(4):
-                want = mat_scale(
-                    2 * metric[mu] if mu == nu else 0, mat_identity()
-                )
-                if anticommutator(rep.gamma[mu], rep.gamma[nu]) != want:
+                a, b = rep.gamma[mu], rep.gamma[nu]
+                want = _diag(2 * metric[mu] if mu == nu else 0)
+                if mat_add(mat_mul(a, b), mat_mul(b, a)) != want:
                     failures.append(f"{metric.label()} anticomm({mu},{nu})")
     rep = standard_gamma_rep(MOSTLY_MINUS)
     _, alpha, sigma_big = dirac_basis_tables()

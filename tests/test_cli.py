@@ -86,13 +86,9 @@ def test_algebra_check_writes_report(tmp_path, capsys, monkeypatch):
     assert manifest["outputs"] == [str(out_path)]
 
 
-def test_clifford_check_and_perturbed_input(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    code, out, _ = run(capsys, "clifford-check")
-    assert code == 0
-    assert json.loads(out)["pass"] is True
-
-    # perturb one entry of gamma^3 and expect a reported failure
+def _perturbed_gammas():
+    """The Dirac-basis gammas under +--- with one entry of gamma^3 set to 7,
+    as --gamma-file [re, im] pairs."""
     zero = [0, 0]
     one = ["1", 0]
 
@@ -121,8 +117,18 @@ def test_clifford_check_and_perturbed_input(tmp_path, capsys, monkeypatch):
         [["-1", 0], zero, zero, zero],
         [zero, ["7", 0], zero, zero],  # wrong entry
     ]
+    return [g0, g1, g2, g3]
+
+
+def test_clifford_check_and_perturbed_input(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "clifford-check")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+    # perturb one entry of gamma^3 and expect a reported failure
     bad = tmp_path / "gamma.json"
-    bad.write_text(json.dumps({"gamma": [g0, g1, g2, g3]}))
+    bad.write_text(json.dumps({"gamma": _perturbed_gammas()}))
     code, out, _ = run(capsys, "clifford-check", "--gamma-file", str(bad))
     assert code == 1
     report = json.loads(out)
@@ -186,8 +192,17 @@ _GAMMA_ROWS = [[["1", 0] if i == j else [0, 0] for j in range(4)] for i in range
         {"gamma": [_GAMMA_ROWS] * 3 + [_GAMMA_ROWS[:3]]},
         {"gamma": [_GAMMA_ROWS] * 3 + [[[1] * 4] * 4]},
         {"gamma": [_GAMMA_ROWS] * 3 + [[[["1/0", 0]] * 4] * 4]},
+        # Fraction would build 10**1000000 from these 9 characters
+        {"gamma": [_GAMMA_ROWS] * 3 + [[[["1e1000000", 0]] * 4] * 4]},
     ],
-    ids=["missing key", "3 matrices", "3x4 matrix", "bare-number entry", "zero denominator"],
+    ids=[
+        "missing key",
+        "3 matrices",
+        "3x4 matrix",
+        "bare-number entry",
+        "zero denominator",
+        "huge exponent",
+    ],
 )
 def test_malformed_gamma_file_exits_2(tmp_path, capsys, monkeypatch, doc):
     gamma_file = tmp_path / "gamma.json"
@@ -425,6 +440,9 @@ def test_domain_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, a
     assert list(tmp_path.iterdir()) == []
 
 
+_CLIFFORD_PASS = "f2f6cefe3fd40b934fe8668d2027d7e19b42566981f9aae613ca7cbdd6e7f5c2"
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -437,13 +455,33 @@ def test_domain_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, a
         (["dirac-square"], "fb3ee9c874f0b9aaea33f1178c16a723d2e8d4cb8b55a3d4eaf9878a8f6b7cc4"),
         (["dirac-square", "--metric=-+++"],
          "fb3ee9c874f0b9aaea33f1178c16a723d2e8d4cb8b55a3d4eaf9878a8f6b7cc4"),
+        (["clifford-check"], _CLIFFORD_PASS),
+        (["clifford-check", "--metric=-+++"], _CLIFFORD_PASS),
+        (["clifford-check", "--gamma-file", "weyl.json"], _CLIFFORD_PASS),
+        (["clifford-check", "--gamma-file", "i-weyl.json", "--metric=-+++"], _CLIFFORD_PASS),
+        (["clifford-check", "--gamma-file", "weyl.json", "--metric=-+++"],
+         "70d8105f7ffe3550f3fdb1a28026c8debe0ef69fa08a10ab06de7ff1ac8067a4"),
+        (["clifford-check", "--gamma-file", "perturbed.json"],
+         "d03981a631651d8d847d1a84c74d184967e1be688206508fccaae6cc6a766307"),
+        (["clifford-check", "--gamma-file", "perturbed.json", "--metric=-+++"],
+         "3c9b64f3a144dd828add6a5f32fbf834fd61dfe0f1f2bd7f5308477943d8085a"),
     ],
 )
 def test_sweep_outputs_pinned(tmp_path, capsys, monkeypatch, argv, digest):
-    # the sha256 of each sweep's stdout, as printed by the multiply-everything sweep
+    # the sha256 of each sweep's stdout, as printed by the multiply-everything
+    # sweep and, for clifford-check, by the matrix product that star-multiplied
+    # all 64 entry pairs
     monkeypatch.chdir(tmp_path)
+    for name, gammas in (
+        ("weyl.json", _weyl_gammas(1)),
+        ("i-weyl.json", _weyl_gammas(1j)),
+        ("perturbed.json", _perturbed_gammas()),
+    ):
+        (tmp_path / name).write_text(json.dumps({"gamma": gammas}))
     code, out, _ = run(capsys, *argv)
-    assert code == 0
+    # exit 1 exactly when the pinned report fails (the perturbed file, and
+    # the Weyl gammas under the metric they do not represent)
+    assert code == (0 if json.loads(out)["pass"] else 1)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 import phaseq.dirac
+import phaseq.star
 from phaseq import (
     CR_I,
     MOSTLY_MINUS,
@@ -23,20 +24,29 @@ from phaseq import (
 )
 from phaseq.dirac import (
     _derived_tables,
+    _diag,
     _products,
     _sigma_block,
-    anticommutator,
     mat_add,
-    mat_identity,
     mat_mul,
     mat_scale,
-    mat_sub,
-    mat_zero,
+    symbol_matrix,
 )
 
-from oracles import constant_matrix_product, dirac_basis_tables
+from oracles import (
+    constant_matrix_product,
+    dense_matrix,
+    dense_matrix_product,
+    dirac_basis_tables,
+    random_poly,
+    sparse_matrix,
+)
 
 METRICS = (MOSTLY_MINUS, MOSTLY_PLUS)
+
+
+def anticommutator(a, b, metric=MOSTLY_MINUS):
+    return mat_add(mat_mul(a, b, metric), mat_mul(b, a, metric))
 
 
 def test_clifford_relation_exact():
@@ -44,9 +54,7 @@ def test_clifford_relation_exact():
         rep = standard_gamma_rep(metric)
         for mu in range(4):
             for nu in range(4):
-                want = mat_scale(
-                    2 * metric[mu] if mu == nu else 0, mat_identity()
-                )
+                want = _diag(2 * metric[mu] if mu == nu else 0)
                 got = anticommutator(rep.gamma[mu], rep.gamma[nu])
                 assert got == want
 
@@ -55,9 +63,9 @@ def test_gamma5_properties():
     gamma5 = dirac_basis_tables()[0]
     for metric in METRICS:
         rep = standard_gamma_rep(metric)
-        assert mat_mul(gamma5, gamma5) == mat_identity()
+        assert mat_mul(gamma5, gamma5) == _diag(1)
         for mu in range(4):
-            assert anticommutator(gamma5, rep.gamma[mu]) == mat_zero()
+            assert anticommutator(gamma5, rep.gamma[mu]) == _diag(0)
 
 
 def test_sigma_block_structure():
@@ -110,8 +118,9 @@ def test_sigma12_spectrum():
     for metric in METRICS:
         rep = standard_gamma_rep(metric)
         s12 = sigma(1, 2, rep)
-        assert mat_mul(s12, s12, metric) == mat_identity()
-        assert sum((s12[i][i] for i in range(4)), PhasePolynomial.zero()).is_zero()
+        assert mat_mul(s12, s12, metric) == _diag(1)
+        dense = dense_matrix(s12)
+        assert sum((dense[i][i] for i in range(4)), PhasePolynomial.zero()).is_zero()
 
 
 def test_gamma_product_decomposition_constant():
@@ -130,7 +139,7 @@ def test_gamma_product_decomposition_constant():
 
 def test_broken_representation_rejected():
     rep = standard_gamma_rep(MOSTLY_MINUS)
-    bad_g3 = mat_add(rep.gamma[3], mat_scale(CR_I, mat_identity()))
+    bad_g3 = mat_add(rep.gamma[3], _diag(CR_I))
     broken = GammaRep((rep.gamma[0], rep.gamma[1], rep.gamma[2], bad_g3), rep.metric)
     with pytest.raises(ValueError):
         gamma_product_decomposition(broken)
@@ -145,22 +154,22 @@ def test_dirac_square_degree_one():
 
 def _entries(m):
     """A matrix of constant symbols as a tuple matrix of ComplexRational."""
-    assert all(entry.degree() <= 0 for row in m for entry in row)
-    return tuple(tuple(entry.constant_term() for entry in row) for row in m)
+    assert all(entry.degree() <= 0 for entry in m.values())
+    return tuple(tuple(entry.constant_term() for entry in row) for row in dense_matrix(m))
 
 
 def _random_constant_matrix(rng):
     def part():
         return Fraction(rng.randint(-6, 6), rng.choice((2, 3, 5)))
 
-    return tuple(
-        tuple(
-            PhasePolynomial.constant(
+    return symbol_matrix(
+        {
+            (i, j): PhasePolynomial.constant(
                 ComplexRational(part(), part()) if rng.random() < 0.5 else 0
             )
-            for _ in range(4)
-        )
-        for _ in range(4)
+            for i in range(4)
+            for j in range(4)
+        }
     )
 
 
@@ -185,20 +194,65 @@ def test_mat_mul_matches_constant_matrix_product(family):
     for a, b in _PRODUCT_FAMILIES[family]:
         want = constant_matrix_product(_entries(a), _entries(b))
         for metric in METRICS:
-            got = mat_mul(a, b, metric)
+            got = dense_matrix(mat_mul(a, b, metric))
             assert all(got[i][j] == want[i][j] for i in range(4) for j in range(4))
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.label())
 def test_mat_mul_star_multiplies_symbol_entries(metric):
-    def times_identity(symbol):
-        zero = PhasePolynomial.zero()
-        return tuple(tuple(symbol if i == j else zero for j in range(4)) for i in range(4))
-
     for k in range(4):
-        q, p = times_identity(q_var(k)), times_identity(p_var(k))
-        bracket = mat_sub(mat_mul(q, p, metric), mat_mul(p, q, metric))
-        assert bracket == mat_scale(CR_I * metric[k], mat_identity())
+        q, p = _diag(q_var(k)), _diag(p_var(k))
+        bracket = mat_add(mat_mul(q, p, metric), mat_scale(-1, mat_mul(p, q, metric)))
+        assert bracket == _diag(CR_I * metric[k])
+
+
+def _random_symbol_matrix(rng, rows, cols):
+    """A nested-tuple matrix of symbols with about half its entries zero."""
+    zero = PhasePolynomial.zero()
+    return tuple(
+        tuple(random_poly(rng, 2, 2) if rng.random() < 0.5 else zero for _ in range(cols))
+        for _ in range(rows)
+    )
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.label())
+@pytest.mark.parametrize("cols", [4, 1], ids=["4x4 times 4x4", "4x4 times 4x1"])
+def test_mat_mul_matches_dense_product(metric, cols):
+    # the product over nonzero entry pairs against the one that star-multiplies
+    # all of them, zero factors included; a 4x1 spinor is a map with column 0 only
+    rng = random.Random(37 + cols)
+    for _ in range(12):
+        a, b = _random_symbol_matrix(rng, 4, 4), _random_symbol_matrix(rng, 4, cols)
+        got = mat_mul(sparse_matrix(a), sparse_matrix(b), metric)
+        assert all(key[1] < cols for key in got)
+        assert dense_matrix(got, (4, cols)) == dense_matrix_product(a, b, metric)
+
+
+def test_symbol_matrix_drops_zeros_and_is_read_only():
+    m = symbol_matrix({(0, 0): PhasePolynomial.zero(), (1, 2): q_var(0)})
+    assert dict(m) == {(1, 2): q_var(0)}
+    # standard_gamma_rep is cached, so its matrices are shared by every caller
+    with pytest.raises(TypeError):
+        standard_gamma_rep(MOSTLY_MINUS).gamma[0][0, 1] = q_var(0)
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.label())
+def test_products_skip_zero_entries(monkeypatch, metric):
+    # a product star-multiplies only pairs of nonzero entries: 180 star products
+    # per clifford_report (2,880 with all 64 pairs of each of its 45 products)
+    # and 52 per dirac_square_check(1) (320 with all pairs)
+    calls = []
+
+    def counting(f, g, metric=MOSTLY_MINUS):
+        calls.append(metric)
+        return phaseq.star.moyal_star(f, g, metric)
+
+    monkeypatch.setattr(phaseq.dirac, "moyal_star", counting)
+    clifford_report(standard_gamma_rep(metric))
+    assert len(calls) == 180
+    calls.clear()
+    dirac_square_check(1, metric)
+    assert len(calls) == 52
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.label())
@@ -209,9 +263,7 @@ def test_clifford_report_standard_rep(metric):
 
 def test_clifford_report_perturbed_gamma3():
     rep = standard_gamma_rep(MOSTLY_MINUS)
-    rows = [list(row) for row in rep.gamma[3]]
-    rows[3][1] = PhasePolynomial.constant(7)
-    bad_g3 = tuple(tuple(row) for row in rows)
+    bad_g3 = symbol_matrix({**rep.gamma[3], (3, 1): PhasePolynomial.constant(7)})
     broken = GammaRep(rep.gamma[:3] + (bad_g3,), rep.metric)
     # alpha, Sigma and gamma5 are derived from the broken gammas, so the
     # bad entry reaches gamma5 (through gamma^2 gamma^3) and every Sigma^k

@@ -19,7 +19,15 @@ from phaseq import (
     pauli_lubanski,
 )
 
-from oracles import basis_sweep, tree_angular, tree_commutator, tree_lowered_momentum
+from oracles import (
+    basis_sweep,
+    commutative_star,
+    mutate_star,
+    pair1_flipped_star,
+    tree_angular,
+    tree_commutator,
+    tree_lowered_momentum,
+)
 
 METRICS = pytest.mark.parametrize("metric", [MOSTLY_MINUS, MOSTLY_PLUS], ids=["+---", "-+++"])
 
@@ -216,3 +224,14 @@ def test_sweep_refuses_a_negative_degree_and_counts_zero_residuals():
         report.sweep([("zero", PhasePolynomial.zero())], -1, MOSTLY_MINUS)
     report.sweep([("zero", PhasePolynomial.zero())] * 2, 8, MOSTLY_MINUS)
     assert report.checked == 2 * 12870 and report.passed
+
+
+@METRICS
+def test_algebra_and_casimir_sweeps_fail_under_wrong_star_products(monkeypatch, metric):
+    # mutation controls: the violations at degree 1 under each wrong product;
+    # the commutative one cannot fail [P2, .] = 0, whose both sides it keeps zero
+    mutate_star(monkeypatch, pair1_flipped_star)
+    assert len(check_poincare_algebra(1, metric).violations) == 81
+    assert len(check_casimirs(1, 1, metric).violations) == 27
+    mutate_star(monkeypatch, commutative_star)
+    assert len(check_poincare_algebra(1, metric).violations) == 324

@@ -25,6 +25,7 @@ from oracles import (
     bopp_position,
     derivative_walk_star,
     fraction_closed_form_star,
+    pair1_flipped_star,
     random_poly,
 )
 
@@ -205,3 +206,19 @@ def test_operator_arithmetic():
     direct = P0(P0(f)) + Q1(P0(f))
     assert moyal_star(combo, f) == direct
     assert moyal_star(-p0, f) == PhasePolynomial.zero() - P0(f)
+
+
+@pytest.mark.parametrize("metric", [MOSTLY_MINUS, MOSTLY_PLUS], ids=["+---", "-+++"])
+def test_pair1_flipped_star_flips_the_pair_1_sign(metric):
+    # T(T f * T g) with T: p1 -> -p1 is the star product whose pair-1 terms
+    # take the sign -g^{11}; moyal_star reads its metric only as the sign
+    # it passes to _pair_terms for each pair
+    flipped = (metric[0], -metric[1], metric[2], metric[3])
+    rng = random.Random(22)
+    differs = 0
+    for _ in range(20):
+        f, g = random_poly(rng, 3, 4), random_poly(rng, 3, 4)
+        got = pair1_flipped_star(f, g, metric)
+        assert got == moyal_star(f, g, flipped)
+        differs += got != moyal_star(f, g, metric)
+    assert differs
