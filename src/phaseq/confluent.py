@@ -9,19 +9,21 @@ the error of its first failing row.
 M(a, b, x) is summed by its forward power series. When a is a nonpositive
 integer the series terminates into a polynomial, summed exactly in Python
 integers over one denominator per row. U(a, b, x) is provided for b = 1
-only, via the logarithmic series in terms of the digamma function; that
-is the branch needed by the magnetic bound-state problem, where
-U(-n, 1, x) reduces to (-1)^n n! L_n(x). Every Laguerre value, including
-the Landau eigenfunctions and their derivatives, comes from one
-generalized-Laguerre three-term recurrence.
+only, via the logarithmic series in terms of the digamma function psi,
+computed here from the standard library; that is the branch needed by
+the magnetic bound-state problem, where U(-n, 1, x) reduces to
+(-1)^n n! L_n(x). Every Laguerre value, including the Landau
+eigenfunctions and their derivatives, comes from one generalized-Laguerre
+three-term recurrence.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import digamma
 
 __all__ = [
     "kummer_m",
@@ -31,6 +33,35 @@ __all__ = [
 
 MAX_SERIES_ARG = 50.0
 SERIES_TERM_LIMIT = 1000
+
+
+_EULER_GAMMA = Fraction("0.5772156649015328606065120900824024310422")
+
+
+def _psi(a: float) -> float:
+    """psi(a) of a float a, not a nonpositive integer: psi(a + 1) - 1/a up to
+    a >= 10, then ln a - 1/(2a) - sum_j B_2j / (2j a^2j) (DLMF 5.11.2)."""
+    shift = math.ceil(10.0 - a) if a < 10.0 else 0
+    parts = [-1.0 / (a + j) for j in range(shift)] if shift else []
+    a += shift
+    s = 1.0 / (a * a)
+    # the sum over j = 1..7 by Horner's rule in s = 1/a^2
+    tail = s * (1 / 12 - s * (1 / 120 - s * (1 / 252 - s * (
+        1 / 240 - s * (1 / 132 - s * (691 / 32760 - s / 12))))))
+    parts += (math.log(a), -0.5 / a, -tail)
+    return math.fsum(parts)
+
+
+@lru_cache(maxsize=1)
+def _psi_of_integers() -> tuple:
+    """psi(1 + k) = H_k - gamma for k < SERIES_TERM_LIMIT, each correctly
+    rounded from the exact harmonic number; built on first use (not at
+    import) and read-only, since every caller shares it."""
+    harmonic, values = Fraction(0), []
+    for k in range(SERIES_TERM_LIMIT):
+        values.append(float(harmonic - _EULER_GAMMA))
+        harmonic += Fraction(1, k + 1)
+    return tuple(values)
 
 
 def _is_nonpositive_int(a: float) -> bool:
@@ -246,13 +277,14 @@ def _log_series_u(a, xs):
             ))
     x, live = xs[~bad], rows[~bad]
     lnx = np.array([math.log(t) for t in x.tolist()])
+    psi_int = _psi_of_integers()
     total = np.zeros_like(x)
     largest = np.zeros_like(x)
     poch_over_fact2 = np.ones_like(x)  # (a)_k / (k!)^2
     for k in range(SERIES_TERM_LIMIT):
         if not live.size:
             break
-        bracket = lnx + digamma(a + k) - 2.0 * digamma(1.0 + k)
+        bracket = lnx + _psi(a + k) - 2.0 * psi_int[k]
         term = poch_over_fact2 * bracket
         total = total + term
         size = np.abs(term)

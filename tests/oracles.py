@@ -46,11 +46,13 @@ which AlgebraReport.sweep's decision by the residual symbol replaces.
 rayleigh_quotient_fresh builds its 400-point Gauss-Legendre rule on every
 call, which rayleigh_quotient's one rule per process replaces.
 per_row_kummer_m, per_row_kummer_u and per_row_laguerre evaluate one float
-x at a time, the terminating M series in Fraction arithmetic and two
-digamma calls per U term for every x; they are the route that the confluent
+x at a time, the terminating M series in Fraction arithmetic and the two
+psi values of each U term for every x; they are the route that the confluent
 functions' one array pass per table (the terminating series in integers
 over one denominator) replaces, and per_row_table runs one of them over a
-table as specfun-eval did.
+table as specfun-eval did. digamma_kummer_u is that U series with scipy's
+digamma for both psi values, which the package's own psi (a shifted
+asymptotic series, and exact harmonic numbers at the integers) replaces.
 """
 
 import csv
@@ -89,6 +91,8 @@ from phaseq.confluent import (
     _check_terms,
     _is_nonpositive_int,
     _laguerre,
+    _psi,
+    _psi_of_integers,
 )
 from phaseq.parsing import _ALIASES, MAX_EXPONENT, MAX_NESTING, ParseError
 
@@ -1003,7 +1007,20 @@ def per_row_kummer_m(a: float, b: float, x: float) -> float:
 
 def per_row_kummer_u(a: float, b: float, x: float) -> float:
     """U(a, 1, x) for one float x: (-1)^n n! L_n(x) for a = -n, and
-    otherwise the logarithmic series with two digamma calls per term."""
+    otherwise the logarithmic series with the package's psi(a + k) and
+    its correctly rounded psi(1 + k) in each term."""
+    return _per_row_u(a, b, x, _psi, _psi_of_integers().__getitem__)
+
+
+def digamma_kummer_u(a: float, b: float, x: float) -> float:
+    """U(a, 1, x) for one float x by the same series with two scipy
+    digamma calls per term, the route the package's own psi replaces."""
+    return _per_row_u(a, b, x, digamma, lambda k: digamma(1.0 + k))
+
+
+def _per_row_u(a, b, x, psi, psi_one_plus):
+    """U(a, 1, x) for one float x, with psi(a + k) and psi(1 + k) of each
+    term of the logarithmic series taken from psi and psi_one_plus(k)."""
     a, b, x = float(a), float(b), float(x)
     if b != 1.0:
         raise ValueError("kummer_u supports b = 1 only")
@@ -1023,7 +1040,7 @@ def per_row_kummer_u(a: float, b: float, x: float) -> float:
     largest = 0.0
     poch_over_fact2 = 1.0
     for k in range(SERIES_TERM_LIMIT):
-        bracket = lnx + digamma(a + k) - 2.0 * digamma(1.0 + k)
+        bracket = lnx + psi(a + k) - 2.0 * psi_one_plus(k)
         term = poch_over_fact2 * bracket
         total += term
         largest = max(largest, abs(term))

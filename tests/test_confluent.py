@@ -10,9 +10,10 @@ import pytest
 from scipy.special import eval_genlaguerre, eval_laguerre, hyp1f1, hyperu
 
 from phaseq import kummer_m, kummer_u, laguerre
-from phaseq.confluent import SERIES_TERM_LIMIT, _laguerre
+from phaseq.confluent import SERIES_TERM_LIMIT, _laguerre, _psi, _psi_of_integers
 
 from oracles import (
+    digamma_kummer_u,
     laguerre_coefficients,
     per_row_kummer_m,
     per_row_kummer_u,
@@ -162,6 +163,76 @@ def test_kummer_u_log_series_against_scipy():
         ref = hyperu(a, 1.0, x)
         got = kummer_u(a, 1.0, x)
         assert abs(got - ref) < 1e-7 * max(1.0, abs(ref))
+
+
+# psi(a) and psi(n) from mpmath at 40 digits, rounded to 20
+PSI_PINS = [
+    (0.3, -3.5025242222001331249),
+    (1.4616321449683623, -9.2412655217294275168e-17),
+    (2.5, 0.70315664064524318723),
+    (10.5, 2.3030010342976863753),
+    (-0.7, -2.0739527936287037831),
+    (-15.746, -0.27560716295255445705),
+    (30.0, 3.3844381326855248766),
+]
+PSI_INTEGER_PINS = [
+    (1, -0.57721566490153286061),
+    (2, 0.42278433509846713939),
+    (10, 2.2517525890667211076),
+    (200, 5.2958152832199116155),
+]
+
+
+def test_psi_pinned_values():
+    for a, want in PSI_PINS:
+        assert abs(_psi(a) - want) <= 2e-15 * max(1.0, abs(want)), a
+    table = _psi_of_integers()
+    assert len(table) == SERIES_TERM_LIMIT
+    for n, want in PSI_INTEGER_PINS:
+        assert abs(table[n - 1] - want) <= 2e-15 * max(1.0, abs(want)), n
+        assert _psi(float(n)) == pytest.approx(want, rel=2e-15, abs=2e-15)
+
+
+def test_kummer_u_pinned_values():
+    # U(a, 1, x) from mpmath at 40 digits, rounded to 20, at points where
+    # the scipy-digamma route was within 1e-13 too
+    for a, x, want in [
+        (0.5, 0.1, 1.8471026598870040344),
+        (0.3, 1.0, 0.94308485976386767961),
+        (2.3, 0.5, 0.27035266572882022941),
+        (-0.7, 3.0, 1.8098133522008265049),
+        (7.5, 0.25, 6.3107285951335184927e-5),
+        (-10.5, 0.4, -1308793.9574137364563),
+    ]:
+        assert abs(kummer_u(a, 1.0, x) - want) <= 1e-13 * abs(want), (a, x)
+
+
+def test_kummer_u_contiguous_relation():
+    # U(a - 1) + (1 - 2a - x) U(a) + a^2 U(a + 1) = 0 (DLMF 13.3, b = 1);
+    # a = 0.75 keeps a - 1 and a + 1 exact in binary
+    a, xs = 0.75, np.linspace(0.1, 3.0, 30)
+    terms = np.array([
+        kummer_u(a - 1.0, 1.0, xs),
+        (1.0 - 2.0 * a - xs) * kummer_u(a, 1.0, xs),
+        a * a * kummer_u(a + 1.0, 1.0, xs),
+    ])
+    assert np.all(np.abs(terms.sum(axis=0)) <= 1e-13 * np.abs(terms).max(axis=0))
+
+
+def test_kummer_u_matches_scipy_digamma_route_on_grid_ops_draws():
+    # the route with scipy's digamma for both psi values, on every U table
+    # the benchmark draws: neither route refuses a row, and values agree
+    # within 5e-10
+    drawn = [(dict(params), at) for name, params, at in grid_ops_tables() if name == "kummer-u"]
+    assert drawn
+    for params, at in drawn:
+        lo, hi, count = at.split(":")
+        xs = np.linspace(float(lo), float(hi), int(count))
+        a, b = params["a"], params.get("b", 1)
+        want, error = per_row_table(lambda x: digamma_kummer_u(a, b, x), xs)
+        assert error is None, params
+        got = kummer_u(a, b, xs)
+        assert np.all(np.abs(got - want) <= 5e-10 * np.abs(want)), params
 
 
 def test_kummer_u_guards():

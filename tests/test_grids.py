@@ -420,3 +420,36 @@ def test_csv_bytes_match_row_by_row_oracle(tmp_path, name):
     write_field_csv(f, fast)
     row_by_row_field_csv(f, slow)
     assert fast.read_bytes() == slow.read_bytes()
+
+
+def _compose(field, indices):
+    """field∘T for a map T that permutes the grid points: indices(ix, iy, ipx,
+    ipy) gives the index tuple of T(z) for the point z with those indices."""
+    return Field(field.spec, field.values[indices(*np.indices(field.spec.shape))])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grid_star_is_covariant_under_a_symplectic_map(seed):
+    # T: (x, y, px, py) -> (y, -x, py, -px) keeps dx^dpx + dy^dpy and swaps
+    # the two pairs, so (f∘T) * (g∘T) = (f * g)∘T; on the periodic landau
+    # grid -x is the point with index -i mod n, so T permutes the points
+    spec = landau_grid(8, 3.0)
+    n = spec.shape[0]
+    rng = np.random.default_rng(seed)
+    f, g = (
+        bandlimit(Field(spec, rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)))
+        for _ in range(2)
+    )
+    want = grid_star(f, g)
+    scale = want.max_abs()
+
+    def symplectic(ix, iy, ipx, ipy):
+        return iy, -ix % n, ipy, -ipx % n
+
+    def mirror(ix, iy, ipx, ipy):  # x -> -x alone reverses dx^dpx
+        return -ix % n, iy, ipx, ipy
+
+    got = grid_star(_compose(f, symplectic), _compose(g, symplectic))
+    assert np.max(np.abs(got.values - _compose(want, symplectic).values)) <= 1e-13 * scale
+    got = grid_star(_compose(f, mirror), _compose(g, mirror))
+    assert np.max(np.abs(got.values - _compose(want, mirror).values)) > 0.1 * scale
