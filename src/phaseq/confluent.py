@@ -97,6 +97,12 @@ def _earliest(*failures):
     return min(found, key=lambda f: f[0]) if found else None
 
 
+def _check_finite(a: float, b: float) -> None:
+    """Refuse a non-finite a or b before any work."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"a and b must be finite, got a = {a}, b = {b}")
+
+
 def kummer_m(a: float, b: float, x):
     """Kummer's function M(a, b, x) = 1F1(a; b; x), for a float or a table.
 
@@ -105,9 +111,10 @@ def kummer_m(a: float, b: float, x):
     terms is refused before summing. Otherwise the forward series is used,
     which is accurate for moderate arguments; |x| is capped at
     MAX_SERIES_ARG because the alternating series loses precision beyond
-    that.
+    that. A non-finite a or b is refused before any work.
     """
     a, b = float(a), float(b)
+    _check_finite(a, b)
     xs, shape = _column(x)
     if _is_nonpositive_int(b) and not (
         _is_nonpositive_int(a) and int(a) > int(b)
@@ -236,10 +243,13 @@ def kummer_u(a: float, b: float, x):
         U(a, 1, x) = -(1/Gamma(a)) sum_k (a)_k / (k!)^2 x^k
                      * (ln x + psi(a + k) - 2 psi(1 + k))
 
-    converges for x > 0 of moderate size. An a whose 1/Gamma(a) is not a
+    converges for x > 0 of moderate size. An infinite a, or a non-finite b,
+    is refused before any work, and an a (NaN too) whose 1/Gamma(a) is not a
     finite float is refused.
     """
     a, b = float(a), float(b)
+    if not math.isnan(a):  # a NaN a meets the 1/Gamma(a) refusal, after each row's x check
+        _check_finite(a, b)
     xs, shape = _column(x)
     if b != 1.0:
         raise ValueError("kummer_u supports b = 1 only")

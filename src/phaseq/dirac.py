@@ -169,7 +169,11 @@ def gamma_product_decomposition(rep: GammaRep) -> ComplexRational:
     Raises ValueError when sigma^{01} is zero or no consistent c exists (a
     broken representation).
     """
-    products = _products(rep)
+    return _decomposition_constant(_products(rep))
+
+
+def _decomposition_constant(products: list) -> ComplexRational:
+    """gamma_product_decomposition's c, read from the 16 gamma^mu gamma^nu."""
     s01 = _sigma_block(products, 0, 1)
     if not s01:
         raise ValueError("degenerate sigma block")
@@ -211,7 +215,7 @@ def clifford_report(rep: GammaRep) -> dict:
         if _sigma_block(products, i, j) != mat_scale(flip, sigma_big[k]):
             failures.append(f"sigma({i},{j}) != {flip:+d}*Sigma^{k + 1}")
     try:
-        const_str = str(gamma_product_decomposition(rep).to_complex())
+        const_str = str(_decomposition_constant(products).to_complex())
     except ValueError as exc:
         failures.append(f"decomposition: {exc}")
         const_str = None

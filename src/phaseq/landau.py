@@ -134,11 +134,13 @@ class LandauEigenfunction:
 
     With u = 2z/eB every polynomial factor comes from the generalized
     Laguerre recurrence: dL_n^(a)/du = -L_{n-1}^(a+1), so the k-th
-    z-derivative of L_n(u) is (-2/eB)^k L_{n-k}^(k)(u). A level of more than
-    SERIES_TERM_LIMIT - 1 is refused when first evaluated.
+    z-derivative of L_n(u) is (-2/eB)^k L_{n-k}^(k)(u). A level that is not a
+    nonnegative integer is refused here, one above SERIES_TERM_LIMIT - 1 when
+    first evaluated.
     """
 
     def __init__(self, n: int, params: LandauParams):
+        _check_level(n)
         self.n = n
         self.params = params
         self.decay = 1.0 / params.eB  # a in e^{-a z}
@@ -147,31 +149,24 @@ class LandauEigenfunction:
         if not math.isfinite(self.scale * self.scale):
             raise ValueError(f"eB = {params.eB} is too small: (2/eB)^2 overflows a float")
 
-    def _laguerre_derivative(self, order: int, u):
-        """d^order/dz^order of L_n(u), which vanishes past degree n."""
-        if order > self.n:
-            return 0.0
-        return (-self.scale) ** order * _laguerre(self.n - order, order, u)
-
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
         # an overflowing L_n(2z/eB) leaves non-finite samples, which Field refuses
         with np.errstate(over="ignore", invalid="ignore"):
             return np.exp(-self.decay * z) * _laguerre(self.n, 0, self.scale * z)
 
-    def derivative(self, z, order: int = 1):
-        """Analytic first or second derivative with respect to z."""
-        if order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
+    def jet(self, z):
+        """(phi, phi', phi'') in z from one exp and one Laguerre pass per
+        factor L_n(u), L_{n-1}^(1)(u), L_{n-2}^(2)(u); 0 past degree n."""
         z = np.asarray(z, dtype=float)
         a, u = self.decay, self.scale * z
-        e = np.exp(-a * z)
-        p = _laguerre(self.n, 0, u)
-        p1 = self._laguerre_derivative(1, u)
-        if order == 1:
-            return e * (p1 - a * p)
-        p2 = self._laguerre_derivative(2, u)
-        return e * (p2 - 2 * a * p1 + a * a * p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(-a * z)
+            p, p1, p2 = (
+                (-self.scale) ** k * _laguerre(self.n - k, k, u) if k <= self.n else 0.0
+                for k in range(3)
+            )
+            return e * p, e * (p1 - a * p), e * (p2 - 2 * a * p1 + a * a * p)
 
     def norm_squared(self) -> float:
         """Integral of phi_n^2 over z in [0, inf); equals eB/2 exactly."""
@@ -179,7 +174,6 @@ class LandauEigenfunction:
 
 
 def eigenfunction(n: int, params: LandauParams) -> LandauEigenfunction:
-    _check_level(n)
     return LandauEigenfunction(n, params)
 
 
@@ -202,9 +196,7 @@ def reduced_ode_apply(phi, params: LandauParams, z):
         raise ValueError("need at least 5 sample points")
     eB2 = params.eB**2
     if isinstance(phi, LandauEigenfunction):
-        vals = phi(z)
-        d1 = phi.derivative(z, 1)
-        d2 = phi.derivative(z, 2)
+        vals, d1, d2 = phi.jet(z)
     else:
         vals = phi(z)
         h = 1e-3
@@ -264,13 +256,12 @@ def full_operator_apply(phi: Field, params: LandauParams) -> Field:
     X, Y, PX, PY = phi.spec.meshgrid()
     v = phi.values
 
-    def d(axis, order=1):
-        return fd_derivative(phi, axis, order).values
-
-    dx, dy, dpx, dpy = d(0), d(1), d(2), d(3)
-    dxx, dyy = d(0, 2), d(1, 2)
-    dy_px = fd_derivative(fd_derivative(phi, 1), 2).values
-    dx_py = fd_derivative(fd_derivative(phi, 0), 3).values
+    first = [fd_derivative(phi, axis) for axis in range(4)]
+    dx, dy, dpx, dpy = (f.values for f in first)
+    dxx, dyy = (fd_derivative(phi, axis, 2).values for axis in (0, 1))
+    # the mixed derivatives d_y d_px and d_x d_py start from dy and dx
+    dy_px = fd_derivative(first[1], 2).values
+    dx_py = fd_derivative(first[0], 3).values
     out = (PX**2 + PY**2) * v
     out = out - 0.25 * (dxx + dyy)
     out = out - 1j * (PY * dy + PX * dx)

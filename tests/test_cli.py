@@ -563,6 +563,51 @@ def test_table_outputs_pinned(tmp_path, capsys, monkeypatch, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "n, points, s, digest",
+    [
+        (0, 16, "1", "16d73837a47dc8824dbb5118bbd348a02dcfc0a4fc40ebe240b3cb3f474a8089"),
+        (0, 16, "-1", "b40232cce5b2f780a9e073a67958e9412e373baa2d7e2376ab257550b4e97069"),
+        (0, 20, "1", "71b864a1b9b915ce3e9268e259bf93b10c8f7fdbc803d1b11280b8b7c7205633"),
+        (0, 20, "-1", "518ba4f847584a5ee2a098b9a42ed4a8f64f7c54693e4d29a2ca2d1f12695c4a"),
+        (1, 16, "1", "496655387d76672386da3524ed2d27f9abffc4c66f707cd658e993adaebe2c1e"),
+        (1, 16, "-1", "8227f16e276b9e900a75c4b7c2fc69f48cd2ee0260ba5730fbe06fd6a0933ebd"),
+        (1, 20, "1", "8f1d675586838d4b43ea83a9b7fbaf8adfa5c14a282a7e72dacceb12bb7b7b23"),
+        (1, 20, "-1", "a0981f399fc9bdb2c99f1d69e0acb2c0569f54fa9b616862383e3b8515b95410"),
+        (2, 20, "1", "d0086499ba5d7de3d01a3e14bbab295b7f3ea9aad856e93a677d5db679f807aa"),
+        (2, 20, "-1", "caf29ca65dc59816d13f807e1910c9280f4d19e52a67416ab18cad41ff733c57"),
+    ],
+)
+def test_landau_reduce_check_outputs_pinned(tmp_path, capsys, monkeypatch, n, points, s, digest):
+    # the sha256 of the report for the (n, points) cases the benchmark draws
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys, "landau-reduce-check", "--n", str(n), "--points", str(points), f"--s={s}"
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        ([], "n=0 eB=1 kappa=1 max_rel_residual=1.1102230246251565e-16 rayleigh=1"),
+        (["--n", "5", "--eB", "0.5", "--s=-1"],
+         "n=5 eB=0.5 kappa=5.5 max_rel_residual=1.3322676295501878e-15 rayleigh=5.5"),
+        (["--n", "40", "--eB", "2"],
+         "n=40 eB=2 kappa=162 max_rel_residual=6.1106675275368616e-13 rayleigh=161.99999999999997"),
+        (["--n", "8", "--points", "11"],
+         "n=8 eB=1 kappa=17 max_rel_residual=8.8817841970012523e-16 rayleigh=16.999999999999996"),
+    ],
+)
+def test_landau_eigen_summary_lines_pinned(tmp_path, capsys, monkeypatch, argv, line):
+    # the residual and Rayleigh quotient that the analytic derivatives give,
+    # for the tables test_table_outputs_pinned pins
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "landau-eigen", *argv)
+    assert (code, err) == (0, f"{line} pass=true\n")
+
+
 def run_or_exit(capsys, argv):
     try:
         code = main(argv)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, eval_laguerre, hyp1f1, hyperu
 
+import phaseq.confluent
 from phaseq import kummer_m, kummer_u, laguerre
 from phaseq.confluent import SERIES_TERM_LIMIT, _laguerre, _psi, _psi_of_integers
 
@@ -458,3 +459,25 @@ def test_kummer_u_refuses_a_without_finite_reciprocal_gamma(a):
         kummer_u(a, 1.0, np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="which a"):
         kummer_u(a, 1.0, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("which", ["a", "b"])
+@pytest.mark.parametrize("function", [kummer_m, kummer_u], ids=["kummer_m", "kummer_u"])
+def test_non_finite_parameters_are_refused_first(monkeypatch, function, which, value):
+    # one ValueError before any work: kummer_u(inf, 1, x) was nan on every
+    # row, kummer_m(1, inf, x) rows of 1, and -inf an OverflowError
+    params = {"a": 1.0, "b": 1.0, which: value}
+    xs = np.array([0.5, 1.0])
+    if function is kummer_u and which == "a" and math.isnan(value):
+        # a NaN a keeps its 1/Gamma(a) refusal, which follows each row's x check
+        with pytest.raises(ValueError, match="which a = nan does not give"):
+            kummer_u(math.nan, 1.0, xs)
+        return
+
+    def unreachable(x):
+        raise AssertionError("the table was read")
+
+    monkeypatch.setattr(phaseq.confluent, "_column", unreachable)
+    with pytest.raises(ValueError, match="^a and b must be finite, got "):
+        function(params["a"], params["b"], xs)

@@ -238,8 +238,9 @@ def test_symbol_matrix_drops_zeros_and_is_read_only():
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.label())
 def test_products_skip_zero_entries(monkeypatch, metric):
-    # a product star-multiplies only pairs of nonzero entries: 180 star products
-    # per clifford_report (2,880 with all 64 pairs of each of its 45 products)
+    # a product star-multiplies only pairs of nonzero entries: 116 star products
+    # per clifford_report (1,856 with all 64 pairs of each of its 29 products;
+    # the decomposition constant reads the report's own 16 gamma^mu gamma^nu)
     # and 52 per dirac_square_check(1) (320 with all pairs)
     calls = []
 
@@ -249,7 +250,7 @@ def test_products_skip_zero_entries(monkeypatch, metric):
 
     monkeypatch.setattr(phaseq.dirac, "moyal_star", counting)
     clifford_report(standard_gamma_rep(metric))
-    assert len(calls) == 180
+    assert len(calls) == 116
     calls.clear()
     dirac_square_check(1, metric)
     assert len(calls) == 52

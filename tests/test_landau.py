@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.special import eval_laguerre
 
+import phaseq.cli
 import phaseq.landau
 from phaseq import (
     Field,
+    LandauEigenfunction,
     LandauParams,
     eigenfunction,
     landau_amplitude,
@@ -40,6 +42,15 @@ def test_params_validation():
     # (2/eB)^2 overflows at eB = 1e-154 although (1/eB)^2 does not
     with pytest.raises(ValueError, match=r"\(2/eB\)\^2"):
         eigenfunction(5, LandauParams(eB=1e-154))
+
+
+@pytest.mark.parametrize("n", [-1, 2.5])
+def test_eigenfunction_class_refuses_an_invalid_level(n):
+    # the public class refuses what eigenfunction refuses, before any
+    # evaluation: n = -1 would otherwise read L_{-1} as 1 - u
+    for make in (LandauEigenfunction, eigenfunction):
+        with pytest.raises(ValueError, match="^n must be a nonnegative integer$"):
+            make(n, LandauParams())
 
 
 def test_landau_grid_layout():
@@ -108,7 +119,7 @@ def test_eigenfunction_values_and_derivatives():
     assert np.max(np.abs(phi(z) - expected)) < 1e-12
     h = 1e-6
     num_d1 = (phi(z + h) - phi(z - h)) / (2 * h)
-    assert np.max(np.abs(phi.derivative(z, 1) - num_d1)) < 1e-7
+    assert np.max(np.abs(phi.jet(z)[1] - num_d1)) < 1e-7
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 16, 40, 100])
@@ -128,7 +139,7 @@ def test_eigenfunction_matches_exact_oracle(n):
             exact[1].append(e * float(p1 - a * p))
             exact[2].append(e * float(p2 - 2 * a * p1 + a * a * p))
         z = np.array([float(v) for v in zs])
-        got = (phi(z), phi.derivative(z, 1), phi.derivative(z, 2))
+        got = (phi(z), phi.jet(z)[1], phi.jet(z)[2])
         for values, want in zip(got, exact):
             want = np.array(want)
             assert np.max(np.abs(values - want)) <= 1e-13 * np.max(np.abs(want))
@@ -221,6 +232,41 @@ def test_rayleigh_quotient_perturbation_insensitive():
     # first-order insensitivity: a 1e-2 amplitude error moves the
     # quotient by O(1e-4), not O(1e-2)
     assert abs(rq - 1.0) < 5e-4
+
+
+@pytest.mark.parametrize("n, passes", [(0, 4), (1, 6), (8, 8)])
+def test_landau_eigen_makes_one_laguerre_pass_per_factor(tmp_path, capsys, monkeypatch, n, passes):
+    # one L_n pass for the table's phi, one per jet factor (L_n, L_{n-1}^(1),
+    # L_{n-2}^(2), as far as they exist) for its residual, and the same two
+    # for the Rayleigh quotient
+    calls = []
+    laguerre = phaseq.landau._laguerre
+
+    def counting(degree, alpha, u):
+        calls.append((degree, alpha))
+        return laguerre(degree, alpha, u)
+
+    monkeypatch.setattr(phaseq.landau, "_laguerre", counting)
+    monkeypatch.chdir(tmp_path)
+    assert phaseq.cli.main(["landau-eigen", "--n", str(n)]) == 0
+    capsys.readouterr()
+    assert len(calls) == passes
+
+
+def test_full_operator_reuses_its_first_derivatives(monkeypatch):
+    # four first and two second derivatives of phi, the two mixed ones from
+    # dy and dx, and one each for the two nested (q + (i/2) d_p)^2 squares
+    calls = []
+    fd_derivative = phaseq.landau.fd_derivative
+
+    def counting(f, axis, order=1):
+        calls.append((axis, order))
+        return fd_derivative(f, axis, order)
+
+    monkeypatch.setattr(phaseq.landau, "fd_derivative", counting)
+    params = LandauParams()
+    phaseq.landau.full_operator_apply(landau_amplitude(1, params, landau_grid(9, 1.7)), params)
+    assert len(calls) == 10
 
 
 def test_reduction_equivalence_small_grid():
