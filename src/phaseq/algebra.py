@@ -10,6 +10,7 @@ its arithmetic builds no Fractions; ``re`` and ``im`` are built on read.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -197,81 +198,69 @@ MOSTLY_PLUS = MetricSignature((-1, 1, 1, 1))
 _ZERO_KEY = (0,) * 8
 
 
-def _require_dims(dims: int) -> None:
-    if not 1 <= dims <= 4:
-        raise ValueError("dims must be between 1 and 4")
-
-
 class PhasePolynomial:
     """Multivariate polynomial in q0..q3, p0..p3 with ComplexRational coefficients.
 
-    Immutable; all arithmetic is exact. ``dims`` bounds the active coordinate
-    pairs: generators q{i}, p{i} with i >= dims are rejected.
+    Immutable; all arithmetic is exact. An exponent key is eight
+    nonnegative integers, (q0, q1, q2, q3, p0, p1, p2, p3).
     """
 
-    __slots__ = ("terms", "dims")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms, dims: int):
-        _require_dims(dims)
+    def __init__(self, terms):
         clean = {}
         for key, coeff in terms.items():
             coeff = ComplexRational.of(coeff)
             if coeff.is_zero():
                 continue
-            key = tuple(key)
-            if len(key) != 8 or any(e < 0 for e in key):
+            try:
+                exps = tuple(map(operator.index, key))
+            except TypeError:
+                exps = ()
+            if len(exps) != 8 or min(exps) < 0:
                 raise ValueError(f"bad exponent key {key}")
-            for i in range(4):
-                if i >= dims and (key[i] or key[4 + i]):
-                    raise ValueError(f"generator index {i} out of range for dims={dims}")
-            clean[key] = coeff
-        PhasePolynomial._set(self, clean, dims)
-
-    @staticmethod
-    def _set(obj, terms, dims):
-        object.__setattr__(obj, "terms", terms)
-        object.__setattr__(obj, "dims", dims)
+            clean[exps] = coeff
+        self.terms = clean
 
     @classmethod
-    def _raw(cls, terms: dict, dims: int) -> "PhasePolynomial":
+    def _raw(cls, terms: dict) -> "PhasePolynomial":
         # internal fast path: terms already clean
         obj = object.__new__(cls)
-        cls._set(obj, terms, dims)
+        obj.terms = terms
         return obj
 
     @classmethod
     def zero(cls, dims: int = 4) -> "PhasePolynomial":
-        return cls._raw({}, dims)
+        if dims != 4:
+            raise ValueError("dims must be 4")
+        return cls._raw({})
 
     @classmethod
-    def constant(cls, value, dims: int = 4) -> "PhasePolynomial":
+    def constant(cls, value) -> "PhasePolynomial":
         c = ComplexRational.of(value)
-        return cls._raw({} if c.is_zero() else {_ZERO_KEY: c}, dims)
+        return cls._raw({} if c.is_zero() else {_ZERO_KEY: c})
 
     @classmethod
-    def coordinate(cls, kind: str, index: int, dims: int = 4) -> "PhasePolynomial":
+    def coordinate(cls, kind: str, index: int) -> "PhasePolynomial":
         if kind not in ("q", "p"):
             raise ValueError("kind must be 'q' or 'p'")
-        if not 0 <= index < dims:
-            raise ValueError(f"generator index {index} out of range for dims={dims}")
+        if not 0 <= index < 4:
+            raise ValueError(f"generator index {index} out of range")
         key = [0] * 8
         key[index + (0 if kind == "q" else 4)] = 1
-        return cls._raw({tuple(key): CR_ONE}, dims)
+        return cls._raw({tuple(key): CR_ONE})
 
     @classmethod
     def monomial(cls, exponents, coeff=CR_ONE, dims: int = 4) -> "PhasePolynomial":
-        return cls({tuple(exponents): ComplexRational.of(coeff)}, dims)
+        if dims != 4:
+            raise ValueError("dims must be 4")
+        return cls({tuple(exponents): ComplexRational.of(coeff)})
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_dims(self, other: "PhasePolynomial"):
-        if self.dims != other.dims:
-            raise ValueError(f"dimension mismatch: {self.dims} vs {other.dims}")
-
     def __add__(self, other):
         if not isinstance(other, PhasePolynomial):
-            other = PhasePolynomial.constant(other, self.dims)
-        self._check_dims(other)
+            other = PhasePolynomial.constant(other)
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
             acc = terms.get(key, CR_ZERO) + coeff
@@ -279,25 +268,24 @@ class PhasePolynomial:
                 terms.pop(key, None)
             else:
                 terms[key] = acc
-        return PhasePolynomial._raw(terms, self.dims)
+        return PhasePolynomial._raw(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PhasePolynomial._raw({k: -c for k, c in self.terms.items()}, self.dims)
+        return PhasePolynomial._raw({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, PhasePolynomial):
-            other = PhasePolynomial.constant(other, self.dims)
+            other = PhasePolynomial.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
-        return PhasePolynomial.constant(other, self.dims) + (-self)
+        return PhasePolynomial.constant(other) + (-self)
 
     def __mul__(self, other):
         if not isinstance(other, PhasePolynomial):
             return self.scale(other)
-        self._check_dims(other)
         terms: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -307,7 +295,7 @@ class PhasePolynomial:
                     terms.pop(key, None)
                 else:
                     terms[key] = acc
-        return PhasePolynomial._raw(terms, self.dims)
+        return PhasePolynomial._raw(terms)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -315,13 +303,13 @@ class PhasePolynomial:
     def scale(self, value) -> "PhasePolynomial":
         c = ComplexRational.of(value)
         if c.is_zero():
-            return PhasePolynomial.zero(self.dims)
-        return PhasePolynomial._raw({k: v * c for k, v in self.terms.items()}, self.dims)
+            return PhasePolynomial.zero()
+        return PhasePolynomial._raw({k: v * c for k, v in self.terms.items()})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = PhasePolynomial.constant(1, self.dims)
+        out = PhasePolynomial.constant(1)
         base = self
         while n:
             if n & 1:
@@ -349,7 +337,7 @@ class PhasePolynomial:
             nk = list(key)
             nk[slot] = e - 1
             terms[tuple(nk)] = coeff * e
-        return PhasePolynomial._raw(terms, self.dims)
+        return PhasePolynomial._raw(terms)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -358,9 +346,7 @@ class PhasePolynomial:
         return max(sum(k) for k in self.terms)
 
     def conjugate(self) -> "PhasePolynomial":
-        return PhasePolynomial._raw(
-            {k: c.conjugate() for k, c in self.terms.items()}, self.dims
-        )
+        return PhasePolynomial._raw({k: c.conjugate() for k, c in self.terms.items()})
 
     def constant_term(self) -> ComplexRational:
         return self.terms.get(_ZERO_KEY, CR_ZERO)
@@ -372,13 +358,13 @@ class PhasePolynomial:
 
     def __eq__(self, other):
         if isinstance(other, PhasePolynomial):
-            return self.dims == other.dims and self.terms == other.terms
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction, complex, ComplexRational)):
-            return self == PhasePolynomial.constant(other, self.dims)
+            return self == PhasePolynomial.constant(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.dims, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def __str__(self):
         from .parsing import format_polynomial
@@ -386,15 +372,15 @@ class PhasePolynomial:
         return format_polynomial(self)
 
     def __repr__(self):
-        return f"PhasePolynomial({self.__str__()!r}, dims={self.dims})"
+        return f"PhasePolynomial({self.__str__()!r})"
 
 
-def q_var(index: int, dims: int = 4) -> PhasePolynomial:
-    return PhasePolynomial.coordinate("q", index, dims)
+def q_var(index: int) -> PhasePolynomial:
+    return PhasePolynomial.coordinate("q", index)
 
 
-def p_var(index: int, dims: int = 4) -> PhasePolynomial:
-    return PhasePolynomial.coordinate("p", index, dims)
+def p_var(index: int) -> PhasePolynomial:
+    return PhasePolynomial.coordinate("p", index)
 
 
 def poisson_bracket(
@@ -405,10 +391,8 @@ def poisson_bracket(
     The metric factor raises the momentum-derivative index; with the
     mostly-minus default, {q0, p0} = 1 and {q1, p1} = -1.
     """
-    if f.dims != g.dims:
-        raise ValueError(f"dimension mismatch: {f.dims} vs {g.dims}")
-    out = PhasePolynomial.zero(f.dims)
-    for mu in range(f.dims):
+    out = PhasePolynomial.zero()
+    for mu in range(4):
         gm = metric[mu]
         term = f.derivative("q", mu) * g.derivative("p", mu) - f.derivative(
             "p", mu

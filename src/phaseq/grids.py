@@ -293,12 +293,12 @@ def grid_star(f: Field, g: Field) -> Field:
     output q-mode a + c and summed, and one inverse q transform closes the
     sum. That is O(N_q N log N) in all for N grid points and N_q q-modes.
     An axis in no pair is never transformed, so the product is plain along
-    it.
+    it. A grid with no pair at all, as a reloaded dump has, is refused.
     """
     f._check(g)
     spec = f.spec
     if not spec.pairs:
-        return Field(spec, bandlimit(f).values * bandlimit(g).values)
+        raise ValueError("grid_star needs a grid with at least one (q, p) axis pair")
     ndim = len(spec.axes)
     pairs = sorted(spec.pairs, key=lambda pair: pair[1])
     q_axes = tuple(qi for qi, _, _ in pairs)
@@ -449,26 +449,30 @@ def write_field_binary(f: Field, path):
         fh.write(np.ascontiguousarray(f.values, "<c16").tobytes())
 
 
+def _read_header(fh, fmt: str) -> tuple:
+    size = struct.calcsize(fmt)
+    chunk = fh.read(size)
+    if len(chunk) != size:
+        raise ValueError(f"header cut short: {len(chunk)} of {size} bytes")
+    return struct.unpack(fmt, chunk)
+
+
 def read_field_binary(path) -> Field:
     """Read a field written by write_field_binary, bit for bit.
 
     Axes are named axis0, axis1, ...; the values are a read-only view of
-    the payload bytes.
+    the payload bytes. A version-1 file does not record its (q, p) pairs,
+    so the field comes back with none, and ``grid_star`` refuses it.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"bad magic {magic!r}")
-        version, naxes = struct.unpack("<HH", fh.read(4))
+        version, naxes = _read_header(fh, "<HH")
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported format version {version}")
-        axes = []
-        for a in range(naxes):
-            n, lo, hi = struct.unpack("<Idd", fh.read(20))
-            axes.append(Axis(f"axis{a}", n, lo, hi))
-        spec = GridSpec(axes) if naxes % 2 == 0 else GridSpec(
-            axes, pairs=[]
-        )
+        axes = [Axis(f"axis{a}", *_read_header(fh, "<Idd")) for a in range(naxes)]
+        spec = GridSpec(axes, pairs=[])
         expected = spec.total_points * 16
         payload = fh.read()
         if len(payload) != expected:

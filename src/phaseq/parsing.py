@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 from math import comb, gcd
 
-from .algebra import _ZERO_KEY, PhasePolynomial, _from_integers, _require_dims
+from .algebra import _ZERO_KEY, PhasePolynomial, _from_integers
 
 __all__ = ["ParseError", "parse_expression", "format_polynomial"]
 
@@ -73,7 +73,7 @@ def _located(text: str, message: str, index: int) -> ParseError:
     return ParseError(message, starts[index])
 
 
-def _slot(name: str, dims: int, at: int) -> int:
+def _slot(name: str, at: int) -> int:
     """The exponent slot of the coordinate ``name``, the token at index ``at``."""
     if name in _ALIASES:
         kind, index = _ALIASES[name]
@@ -81,12 +81,12 @@ def _slot(name: str, dims: int, at: int) -> int:
         kind, index = name[0], int(name[1])
     else:
         raise _Refusal(f"unknown identifier {name!r}", at)
-    if index >= dims:
-        raise _Refusal(f"identifier {name!r} out of range for dims={dims}", at)
+    if index >= 4:
+        raise _Refusal(f"identifier {name!r} out of range for dims=4", at)
     return index if kind == "q" else 4 + index
 
 
-_SLOTS = {name: _slot(name, 4, 0) for name in [*_VAR_NAMES, *_ALIASES]}
+_SLOTS = {name: _slot(name, 0) for name in [*_VAR_NAMES, *_ALIASES]}
 
 
 def _denominator(toks: list, at: int) -> int:
@@ -106,7 +106,7 @@ def _power(a: int, b: int, e: int) -> tuple:
     return ra, rb
 
 
-def _sum(toks: list, i: int, dims: int, depth: int):
+def _sum(toks: list, i: int, depth: int):
     """The terms of the sum that starts at token ``i``, as {key: (a, b, d)}
     for the coefficient (a + b*i)/d, and the index of the token after it."""
     terms: dict = {}
@@ -126,12 +126,11 @@ def _sum(toks: list, i: int, dims: int, depth: int):
             i += 1
             slot = _SLOTS.get(tok)
             group = None
-            if slot is None or slot & 3 >= dims:
-                slot = None
+            if slot is None:
                 if tok == "(":
                     if depth == MAX_NESTING:
                         raise _Refusal(f"nesting depth exceeds limit {MAX_NESTING}", i - 1)
-                    group, i = _sum(toks, i, dims, depth + 1)
+                    group, i = _sum(toks, i, depth + 1)
                     if toks[i] != ")":
                         raise _Refusal("expected ')'", i)
                     i += 1
@@ -143,7 +142,7 @@ def _sum(toks: list, i: int, dims: int, depth: int):
                         fd = _denominator(toks, i + 1)
                         i += 2
                 elif tok[:1].isalpha():
-                    slot = _slot(tok, dims, i - 1)
+                    slot = _slot(tok, i - 1)
                 else:
                     message = f"unexpected token {tok!r}" if tok else "unexpected end of input"
                     raise _Refusal(message, i - 1)
@@ -170,7 +169,7 @@ def _sum(toks: list, i: int, dims: int, depth: int):
                             i - 1,
                         )
                 factor = {key: _from_integers(*c) for key, c in group.items()}
-                factor = PhasePolynomial._raw(factor, dims) ** e
+                factor = PhasePolynomial._raw(factor) ** e
                 if poly is None:
                     poly = factor
                 else:
@@ -209,7 +208,7 @@ def _sum(toks: list, i: int, dims: int, depth: int):
             if poly is None:
                 pairs = ((key, (a, b, d)),)
             else:
-                mono = PhasePolynomial._raw({key: _from_integers(a, b, d)}, dims)
+                mono = PhasePolynomial._raw({key: _from_integers(a, b, d)})
                 pairs = [(k, c._abd) for k, c in (mono * poly).terms.items()]
             # PhasePolynomial.__add__'s rule, in place: add, then drop a zero sum
             for key, coeff in pairs:
@@ -238,19 +237,18 @@ def _sum(toks: list, i: int, dims: int, depth: int):
         i += 1
 
 
-def parse_expression(text: str, dims: int = 4) -> PhasePolynomial:
-    """Parse ``text`` into an exact PhasePolynomial over ``dims`` coordinate pairs."""
-    _require_dims(dims)
+def parse_expression(text: str) -> PhasePolynomial:
+    """Parse ``text`` into an exact PhasePolynomial."""
     toks = _TOKEN.findall(text)
     toks.append("")
     try:
-        terms, i = _sum(toks, 0, dims, 0)
+        terms, i = _sum(toks, 0, 0)
         if toks[i]:
             raise _Refusal(f"unexpected token {toks[i]!r}", i)
     except _Refusal as refusal:
         raise _located(text, *refusal.args) from None
     return PhasePolynomial._raw(
-        {key: _from_integers(a, b, d) for key, (a, b, d) in terms.items()}, dims
+        {key: _from_integers(a, b, d) for key, (a, b, d) in terms.items()}
     )
 
 

@@ -31,6 +31,8 @@ from .algebra import (
 
 __all__ = ["moyal_star", "commutator_on"]
 
+MAX_STAR_TERMS = 10**7
+
 
 @lru_cache(maxsize=4096)
 def _pair_terms(a: int, b: int, c: int, d: int, sign: int) -> tuple:
@@ -80,14 +82,34 @@ def moyal_star(
     each term adds (numerator product) * i^k * prod(n) * 2^(kmax - k) to
     an integer accumulator; each nonzero output term's ComplexRational is
     built at the end from its triple over D_f * D_g * 2^kmax, with one gcd.
+
+    For factors of n_f and n_g terms the sum has at most
+    n_f n_g prod_mu (1 + min(A_mu, D_mu) + min(B_mu, C_mu)) terms, with A_mu,
+    B_mu the largest q and p exponents of pair mu in f and C_mu, D_mu those
+    in g; a product whose bound exceeds MAX_STAR_TERMS is refused before
+    any term is summed. The four factors sum to at most
+    4 + min(n_f deg f, n_g deg g) = 4 + m, so the bound is at most
+    n_f n_g ((4 + m)/4)^4, and the exponents are read only when that
+    exceeds the limit.
     """
-    if f.dims != g.dims:
-        raise ValueError(f"dimension mismatch: {f.dims} vs {g.dims}")
     if not f.terms or not g.terms:
-        return PhasePolynomial.zero(f.dims)
+        return PhasePolynomial.zero()
+    n_f, n_g = len(f.terms), len(g.terms)
+    deg_f, deg_g = max(map(sum, f.terms)), max(map(sum, g.terms))
+    if n_f * n_g * (4 + min(n_f * deg_f, n_g * deg_g)) ** 4 > 256 * MAX_STAR_TERMS:
+        top_f = [max(e) for e in zip(*f.terms)]
+        top_g = [max(e) for e in zip(*g.terms)]
+        bound = n_f * n_g
+        for mu in range(4):
+            bound *= 1 + min(top_f[mu], top_g[4 + mu]) + min(top_f[4 + mu], top_g[mu])
+        if bound > MAX_STAR_TERMS:
+            raise ValueError(
+                f"a star product of {n_f} and {n_g} terms can sum "
+                f"{bound} terms, more than the limit {MAX_STAR_TERMS}"
+            )
     den_f, ints_f = _integer_form(f)
     den_g, ints_g = _integer_form(g)
-    kmax = min(max(map(sum, f.terms)), max(map(sum, g.terms)))
+    kmax = min(deg_f, deg_g)
     sums: dict = {}
     for key1, x1, y1 in ints_f:
         for key2, x2, y2 in ints_g:
@@ -112,8 +134,7 @@ def moyal_star(
                     acc[1] += im_k * n
     den = (den_f * den_g) << kmax
     return PhasePolynomial._raw(
-        {key: _from_integers(re, im, den) for key, (re, im) in sums.items() if re or im},
-        f.dims,
+        {key: _from_integers(re, im, den) for key, (re, im) in sums.items() if re or im}
     )
 
 

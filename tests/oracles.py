@@ -119,17 +119,18 @@ def random_poly(
     rng: random.Random,
     max_degree: int = 3,
     n_terms: int = 4,
-    dims: int = 4,
+    pairs: int = 4,
 ) -> PhasePolynomial:
-    poly = PhasePolynomial.zero(dims)
+    """A random polynomial in the first ``pairs`` (q, p) pairs."""
+    poly = PhasePolynomial.zero()
     for _ in range(n_terms):
         key = [0] * 8
         budget = rng.randint(0, max_degree)
         for _ in range(budget):
-            slot = rng.randrange(2 * dims)
-            key[slot if slot < dims else slot - dims + 4] += 1
+            slot = rng.randrange(2 * pairs)
+            key[slot if slot < pairs else slot - pairs + 4] += 1
         coeff = ComplexRational(random_rational(rng), random_rational(rng))
-        poly = poly + PhasePolynomial.monomial(tuple(key), coeff, dims)
+        poly = poly + PhasePolynomial.monomial(tuple(key), coeff)
     return poly
 
 
@@ -496,10 +497,8 @@ def derivative_walk_star(
               * prod_mu g^{mumu (a_mu+b_mu)}
               * (d_q^a d_p^b f) (d_p^a d_q^b g)
     """
-    if f.dims != g.dims:
-        raise ValueError(f"dimension mismatch: {f.dims} vs {g.dims}")
     kmax = min(f.degree(), g.degree())
-    out = PhasePolynomial.zero(f.dims)
+    out = PhasePolynomial.zero()
     if f.is_zero() or g.is_zero():
         return out
     for k in range(0, max(kmax, 0) + 1):
@@ -569,8 +568,6 @@ def fraction_closed_form_star(
 
     taken over the Cartesian product of the four pairs' terms.
     """
-    if f.dims != g.dims:
-        raise ValueError(f"dimension mismatch: {f.dims} vs {g.dims}")
     terms: dict = {}
     f_terms = [(key, FractionPairComplex(c.re, c.im)) for key, c in f.terms.items()]
     g_terms = [(key, FractionPairComplex(c.re, c.im)) for key, c in g.terms.items()]
@@ -594,7 +591,7 @@ def fraction_closed_form_star(
                 acc = terms.get(key)
                 terms[key] = coeff if acc is None else acc + coeff
     return PhasePolynomial._raw(
-        {key: ComplexRational(c.re, c.im) for key, c in terms.items() if c}, f.dims
+        {key: ComplexRational(c.re, c.im) for key, c in terms.items() if c}
     )
 
 
@@ -681,7 +678,7 @@ def commutative_star(f, g, metric=MOSTLY_MINUS):
 def _flip_p1(f):
     """T f with T: p1 -> -p1."""
     return PhasePolynomial._raw(
-        {key: -c if key[5] % 2 else c for key, c in f.terms.items()}, f.dims
+        {key: -c if key[5] % 2 else c for key, c in f.terms.items()}
     )
 
 
@@ -718,7 +715,7 @@ def bopp_momentum(mu: int, metric=MOSTLY_MINUS):
 def combine(*parts):
     """The operator sum_k c_k A_k from (c_k, A_k) pairs."""
     return lambda f: sum(
-        (op(f).scale(c) for c, op in parts), PhasePolynomial.zero(f.dims)
+        (op(f).scale(c) for c, op in parts), PhasePolynomial.zero()
     )
 
 
@@ -820,9 +817,8 @@ class _Tokenizer:
 
 
 class _ProductParser:
-    def __init__(self, text: str, dims: int):
+    def __init__(self, text: str):
         self.toks = _Tokenizer(text)
-        self.dims = dims
         self.depth = 0
 
     def parse(self) -> PhasePolynomial:
@@ -888,15 +884,11 @@ class _ProductParser:
                 dkind, dvalue, dpos = self.toks.next()
                 if dkind != "int" or int(dvalue) == 0:
                     raise ParseError("denominator must be a positive integer", dpos)
-                return PhasePolynomial.constant(
-                    Fraction(numerator, int(dvalue)), self.dims
-                )
-            return PhasePolynomial.constant(numerator, self.dims)
+                return PhasePolynomial.constant(Fraction(numerator, int(dvalue)))
+            return PhasePolynomial.constant(numerator)
         if kind == "ident":
             if value == "i":
-                return PhasePolynomial.constant(
-                    ComplexRational(Fraction(0), Fraction(1)), self.dims
-                )
+                return PhasePolynomial.constant(ComplexRational(Fraction(0), Fraction(1)))
             return self._variable(value, pos)
         if kind == "(":
             if self.depth == MAX_NESTING:
@@ -917,17 +909,15 @@ class _ProductParser:
             kind, index = name[0], int(name[1])
         else:
             raise ParseError(f"unknown identifier {name!r}", pos)
-        if index >= self.dims:
-            raise ParseError(
-                f"identifier {name!r} out of range for dims={self.dims}", pos
-            )
-        return PhasePolynomial.coordinate(kind, index, self.dims)
+        if index >= 4:
+            raise ParseError(f"identifier {name!r} out of range for dims=4", pos)
+        return PhasePolynomial.coordinate(kind, index)
 
 
-def polynomial_product_parse(text: str, dims: int = 4) -> PhasePolynomial:
+def polynomial_product_parse(text: str) -> PhasePolynomial:
     """Parse ``text`` by scanning it character by character and multiplying and
     adding PhasePolynomial values; ``parse_expression`` must give the same result."""
-    return _ProductParser(text, dims).parse()
+    return _ProductParser(text).parse()
 
 
 def row_by_row_field_csv(f: Field, path):

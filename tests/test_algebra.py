@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import phaseq
@@ -220,12 +221,32 @@ def test_degree_and_conjugate():
 
 
 def test_dims_bound_enforced():
-    with pytest.raises(ValueError):
-        q_var(2, dims=2)
-    f = q_var(1, dims=2)
-    g = q_var(1, dims=4)
-    with pytest.raises(ValueError):
-        f + g
+    # zero and monomial keep a dims parameter that accepts only 4
+    key = (1, 0, 0, 0, 0, 2, 0, 0)
+    with pytest.raises(ValueError, match="dims must be 4"):
+        PhasePolynomial.zero(3)
+    with pytest.raises(ValueError, match="dims must be 4"):
+        PhasePolynomial.monomial(key, CR_I, 2)
+    assert PhasePolynomial.zero(4) == PhasePolynomial.zero()
+    assert PhasePolynomial.monomial(key, CR_I, 4) == (q_var(0) * p_var(1) ** 2).scale(CR_I)
+    assert PhasePolynomial.__slots__ == ("terms",)
+
+
+@pytest.mark.parametrize("exponent", [1.5, 1.0, "a", -1], ids=["1.5", "1.0", "str", "-1"])
+def test_exponent_keys_must_be_nonnegative_integers(exponent):
+    key = (exponent, 0, 0, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="bad exponent key"):
+        PhasePolynomial.monomial(key)
+    with pytest.raises(ValueError, match="bad exponent key"):
+        PhasePolynomial({key: 1})
+
+
+def test_numpy_integer_exponents_become_ints():
+    poly = PhasePolynomial.monomial((np.int64(2), 0, 0, 0, 0, 0, 0, np.int64(1)))
+    (key,) = poly.terms
+    assert key == (2, 0, 0, 0, 0, 0, 0, 1)
+    assert all(type(e) is int for e in key)
+    assert poly == q_var(0) ** 2 * p_var(3)
 
 
 def test_poisson_bracket_canonical_pairs():

@@ -12,6 +12,8 @@ import pytest
 
 from phaseq.cli import build_parser, main
 
+from cli_corpus import INPUTS, perturbed_gammas, weyl_gammas
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -86,40 +88,6 @@ def test_algebra_check_writes_report(tmp_path, capsys, monkeypatch):
     assert manifest["outputs"] == [str(out_path)]
 
 
-def _perturbed_gammas():
-    """The Dirac-basis gammas under +--- with one entry of gamma^3 set to 7,
-    as --gamma-file [re, im] pairs."""
-    zero = [0, 0]
-    one = ["1", 0]
-
-    def diag(a, b, c, d):
-        vals = [a, b, c, d]
-        return [
-            [vals[i] if i == j else zero for j in range(4)] for i in range(4)
-        ]
-
-    g0 = diag(one, one, ["-1", 0], ["-1", 0])
-    g1 = [
-        [zero, zero, zero, one],
-        [zero, zero, one, zero],
-        [zero, ["-1", 0], zero, zero],
-        [["-1", 0], zero, zero, zero],
-    ]
-    g2 = [
-        [zero, zero, zero, [0, "-1"]],
-        [zero, zero, [0, "1"], zero],
-        [zero, [0, "1"], zero, zero],
-        [[0, "-1"], zero, zero, zero],
-    ]
-    g3 = [
-        [zero, zero, one, zero],
-        [zero, zero, zero, ["-1", 0]],
-        [["-1", 0], zero, zero, zero],
-        [zero, ["7", 0], zero, zero],  # wrong entry
-    ]
-    return [g0, g1, g2, g3]
-
-
 def test_clifford_check_and_perturbed_input(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "clifford-check")
@@ -128,7 +96,7 @@ def test_clifford_check_and_perturbed_input(tmp_path, capsys, monkeypatch):
 
     # perturb one entry of gamma^3 and expect a reported failure
     bad = tmp_path / "gamma.json"
-    bad.write_text(json.dumps({"gamma": _perturbed_gammas()}))
+    bad.write_text(json.dumps({"gamma": perturbed_gammas()}))
     code, out, _ = run(capsys, "clifford-check", "--gamma-file", str(bad))
     assert code == 1
     report = json.loads(out)
@@ -151,21 +119,6 @@ def test_clifford_check_stdout_pinned(tmp_path, capsys, monkeypatch, metric):
     )
 
 
-def _weyl_gammas(scale):
-    """scale times the Weyl (chiral) basis, gamma^0 = sigma_1 x I and gamma^k =
-    (i sigma_2) x sigma_k, as --gamma-file [re, im] string pairs."""
-    pauli = (((0, 1), (1, 0)), ((0, -1j), (1j, 0)), ((1, 0), (0, -1)))
-    blocks = [(pauli[0], ((1, 0), (0, 1)))] + [(((0, 1), (-1, 0)), s) for s in pauli]
-
-    def entry(value):
-        return [str(int(value.real)), str(int(value.imag))]
-
-    return [
-        [[entry(scale * a[i // 2][j // 2] * b[i % 2][j % 2]) for j in range(4)] for i in range(4)]
-        for a, b in blocks
-    ]
-
-
 @pytest.mark.parametrize(
     "metric, scale", [("+---", 1), ("-+++", 1j)], ids=["weyl +---", "i*weyl -+++"]
 )
@@ -173,7 +126,7 @@ def test_clifford_check_passes_weyl_basis(tmp_path, capsys, monkeypatch, metric,
     # a representation in another basis passes: alpha, Sigma and gamma5 are
     # derived from the supplied gammas, not borrowed from the Dirac basis
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "weyl.json").write_text(json.dumps({"gamma": _weyl_gammas(scale)}))
+    (tmp_path / "weyl.json").write_text(json.dumps({"gamma": weyl_gammas(scale)}))
     code, out, err = run(
         capsys, "clifford-check", "--gamma-file", "weyl.json", f"--metric={metric}"
     )
@@ -475,12 +428,8 @@ def test_sweep_outputs_pinned(tmp_path, capsys, monkeypatch, argv, digest):
     # sweep and, for clifford-check, by the matrix product that star-multiplied
     # all 64 entry pairs
     monkeypatch.chdir(tmp_path)
-    for name, gammas in (
-        ("weyl.json", _weyl_gammas(1)),
-        ("i-weyl.json", _weyl_gammas(1j)),
-        ("perturbed.json", _perturbed_gammas()),
-    ):
-        (tmp_path / name).write_text(json.dumps({"gamma": gammas}))
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
     code, out, _ = run(capsys, *argv)
     # exit 1 exactly when the pinned report fails (the perturbed file, and
     # the Weyl gammas under the metric they do not represent)

@@ -188,14 +188,21 @@ GRID_STAR_CASES = [
     ([12, 16], [(1, 0, 1)]),
     ([5, 12, 12], [(1, 2, 1)]),
     ([12, 11, 4], [(0, 1, -1)]),
-    ([10, 9], []),
     ([8, 8, 8, 8], [(0, 2, -1), (1, 3, -1)]),
     ([8, 7, 6, 8], [(3, 0, 1), (1, 2, -1)]),
 ]
 GRID_STAR_IDS = [
     "even", "odd", "sign-minus", "p-before-q", "unpaired-first",
-    "unpaired-last", "no-pairs", "landau-4d", "crossed-4d",
+    "unpaired-last", "landau-4d", "crossed-4d",
 ]
+
+
+def test_grid_star_refuses_a_grid_without_pairs():
+    # an unpaired grid has no star product to take, as a reloaded dump shows
+    spec = GridSpec([Axis("a0", 10, -2.0, 3.0), Axis("a1", 9, -3.0, 3.5)], pairs=[])
+    f = Field(spec, np.ones(spec.shape))
+    with pytest.raises(ValueError, match="at least one \\(q, p\\) axis pair"):
+        grid_star(f, f)
 
 
 @pytest.mark.parametrize("sizes, pairs", GRID_STAR_CASES, ids=GRID_STAR_IDS)
@@ -366,6 +373,35 @@ def test_binary_payload_length_checked(tmp_path, delta):
     raw = path.read_bytes()
     path.write_bytes(raw[:delta] if delta < 0 else raw + b"\0" * delta)
     with pytest.raises(ValueError, match=f"payload has {256 + delta} bytes, expected 256"):
+        read_field_binary(path)
+
+
+@pytest.mark.parametrize(
+    "sizes, pairs",
+    [([8, 8], [(0, 1, 1)]), ([4, 5, 6], [(1, 2, -1)]), ([4, 4, 4, 4], [(0, 2, -1), (1, 3, -1)])],
+    ids=["2d", "3d", "landau-4d"],
+)
+def test_reloaded_dump_has_no_pairs(tmp_path, sizes, pairs):
+    # a version-1 file does not record its pairs, so none are guessed on
+    # reading and grid_star refuses the reloaded field
+    spec = GridSpec([Axis(f"a{i}", n, -1.0, 1.0) for i, n in enumerate(sizes)], pairs=pairs)
+    path = tmp_path / "field.bin"
+    write_field_binary(Field(spec, np.ones(spec.shape)), path)
+    back = read_field_binary(path)
+    assert back.spec.pairs == ()
+    assert back.spec.shape == spec.shape
+    with pytest.raises(ValueError, match="at least one"):
+        grid_star(back, back)
+
+
+@pytest.mark.parametrize("keep", [5, 8, 27, 8 + 20 + 19])
+def test_binary_header_cut_short_is_a_value_error(tmp_path, keep):
+    # cut inside the version and axis count, after it, and inside each axis record
+    spec = qp_spec(4, 1.0)
+    path = tmp_path / "field.bin"
+    write_field_binary(Field(spec, np.ones(spec.shape)), path)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError, match="header cut short"):
         read_field_binary(path)
 
 

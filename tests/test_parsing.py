@@ -132,18 +132,15 @@ def test_non_decimal_digits_are_parse_errors(text, pos):
     assert err.value.pos == pos
 
 
-def _random_texts(dims):
-    rng = random.Random(f"parse-oracle:{dims}")
-    return [
-        (format_polynomial(random_poly(rng, 6, rng.randint(1, 8), dims)), dims)
-        for _ in range(50)
-    ]
+def _random_texts(pairs):
+    rng = random.Random(f"parse-oracle:{pairs}")
+    return [format_polynomial(random_poly(rng, 6, rng.randint(1, 8), pairs)) for _ in range(50)]
 
 
 def _star_texts():
     rng = random.Random("parse-oracle:star")
     return [
-        (format_polynomial(moyal_star(random_poly(rng, 3, 3), random_poly(rng, 3, 3))), 4)
+        format_polynomial(moyal_star(random_poly(rng, 3, 3), random_poly(rng, 3, 3)))
         for _ in range(20)
     ]
 
@@ -171,14 +168,14 @@ _MALFORMED = ["q0 +", "q4", "p0^", "2**q0", "(q0", "q0^100", "foo", "q0 + @", "1
 _PARSE_CASES = {
     **{f"random-dims{d}": (lambda d=d: _random_texts(d)) for d in range(1, 5)},
     "star-products": _star_texts,
-    "hand-written": lambda: [(t, 4) for t in _HAND_WRITTEN] + [("q1 - p0", 2), ("q3", 2)],
-    "malformed": lambda: [(t, 4) for t in _MALFORMED],
+    "hand-written": lambda: _HAND_WRITTEN + ["q1 - p0", "q3"],
+    "malformed": lambda: _MALFORMED,
 }
 
 
-def _outcome(parse, text, dims):
+def _outcome(parse, text):
     try:
-        poly = parse(text, dims)
+        poly = parse(text)
     except ParseError as err:
         return str(err), err.pos
     assert all(
@@ -189,10 +186,8 @@ def _outcome(parse, text, dims):
 
 @pytest.mark.parametrize("case", list(_PARSE_CASES))
 def test_parse_matches_polynomial_product_oracle(case):
-    for text, dims in _PARSE_CASES[case]():
-        assert _outcome(parse_expression, text, dims) == _outcome(
-            polynomial_product_parse, text, dims
-        ), text
+    for text in _PARSE_CASES[case]():
+        assert _outcome(parse_expression, text) == _outcome(polynomial_product_parse, text), text
 
 
 _INSERTED = ["+", "-", "*", "/", "^", "(", ")", "i", "0", "q4"]
@@ -204,7 +199,7 @@ _NON_ASCII = ["\u00e9", "q\u00b2", "\u00b2", "_x", "\uff11", "q\uff11", "\uff11/
 def _mutations(count):
     """Seeded one-token edits of printed star products and hand-written texts."""
     rng = random.Random("parse-fuzz")
-    sources = [text for text, _ in _star_texts()] + _HAND_WRITTEN
+    sources = _star_texts() + _HAND_WRITTEN
     cases = []
     for _ in range(count):
         toks = re.findall(r"\w+|\S", rng.choice(sources))
@@ -218,18 +213,18 @@ def _mutations(count):
             toks[at], toks[at + 1] = toks[at + 1], toks[at]
         else:
             toks.insert(at, rng.choice(_INSERTED + _NON_ASCII))
-        cases.append((rng.choice(["", " "]).join(toks), rng.choice([1, 2, 4, 4, 4, 4])))
+        cases.append(rng.choice(["", " "]).join(toks))
     return cases
 
 
 def test_parse_fuzz_matches_polynomial_product_oracle():
-    cases = _mutations(600) + [(t, d) for t in _NON_ASCII for d in (1, 4)]
-    cases += [("(" * n + "q0 - p0" + ")" * n, 4) for n in (64, 65)]
-    outcomes = [_outcome(parse_expression, text, dims) for text, dims in cases]
+    cases = _mutations(600) + _NON_ASCII
+    cases += ["(" * n + "q0 - p0" + ")" * n for n in (64, 65)]
+    outcomes = [_outcome(parse_expression, text) for text in cases]
     # the edits reach both the polynomial and the error outcomes
     assert 20 < sum(isinstance(o[0], PhasePolynomial) for o in outcomes) < len(cases) - 20
-    for (text, dims), outcome in zip(cases, outcomes):
-        assert outcome == _outcome(polynomial_product_parse, text, dims), (text, dims)
+    for text, outcome in zip(cases, outcomes):
+        assert outcome == _outcome(polynomial_product_parse, text), text
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -247,15 +242,13 @@ def _count_calls(monkeypatch, owner, name):
 
 def test_printed_product_parse_builds_no_fraction(monkeypatch):
     # each output term's coefficient is built once, from integers; no Fraction is built
-    cases = [
-        (text, dims, _outcome(polynomial_product_parse, text, dims)) for text, dims in _star_texts()
-    ]
+    cases = [(text, _outcome(polynomial_product_parse, text)) for text in _star_texts()]
     fractions = _count_calls(monkeypatch, Fraction, "__new__")
     coefficients = _count_calls(monkeypatch, phaseq.parsing, "_from_integers")
-    for text, dims, expected in cases:
+    for text, expected in cases:
         fractions.clear()
         coefficients.clear()
-        poly = parse_expression(text, dims)
+        poly = parse_expression(text)
         assert fractions == []
         assert len(coefficients) == len(poly.terms) > 0
         assert poly == expected[0] and list(poly.terms) == expected[1]
@@ -298,11 +291,3 @@ def test_printed_star_trials_pinned():
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     assert digest == "535ab7eea48f7c2099079b1b601391d7a524e9fc88099cc782ba96603b8bae3d"
 
-
-@pytest.mark.parametrize("dims", [0, 5, 9, -1])
-def test_parse_refuses_dims_outside_one_to_four(dims):
-    # refused before any token is read, as PhasePolynomial refuses it
-    for text in ("1", "q3", "q0 + @"):
-        with pytest.raises(ValueError, match="dims must be between 1 and 4") as err:
-            parse_expression(text, dims)
-        assert not isinstance(err.value, ParseError)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import phaseq.star
 from phaseq import (
     CR_I,
     ComplexRational,
@@ -32,66 +33,68 @@ from oracles import (
 METRICS = (MOSTLY_MINUS, MOSTLY_PLUS)
 
 
-@pytest.mark.parametrize("dims", [1, 2, 3, 4])
+@pytest.mark.parametrize("pairs", [1, 2, 3, 4])
 @pytest.mark.parametrize("metric", METRICS, ids=["mostly_minus", "mostly_plus"])
-def test_star_matches_derivative_walk_oracle(metric, dims):
-    rng = random.Random(100 * dims + metric[0])
-    zero = PhasePolynomial.zero(dims)
+def test_star_matches_derivative_walk_oracle(metric, pairs):
+    # factors drawn from the first `pairs` (q, p) pairs
+    rng = random.Random(100 * pairs + metric[0])
+    zero = PhasePolynomial.zero()
     for _ in range(25):
-        f = random_poly(rng, max_degree=4, n_terms=3, dims=dims)
-        g = random_poly(rng, max_degree=4, n_terms=3, dims=dims)
+        f = random_poly(rng, max_degree=4, n_terms=3, pairs=pairs)
+        g = random_poly(rng, max_degree=4, n_terms=3, pairs=pairs)
         assert moyal_star(f, g, metric) == derivative_walk_star(f, g, metric)
         assert moyal_star(zero, g, metric) == derivative_walk_star(zero, g, metric)
         assert moyal_star(f, zero, metric) == derivative_walk_star(f, zero, metric)
 
 
-def _coprime_poly(rng, dims):
-    # degree <= 6, <= 5 terms, parts over the coprime denominators 7, 9, 11, 13
+def _coprime_poly(rng, pairs):
+    # degree <= 6, <= 5 terms in the first `pairs` pairs, parts over the
+    # coprime denominators 7, 9, 11, 13
     terms = {}
     for _ in range(rng.randint(1, 5)):
         key = [0] * 8
         for _ in range(rng.randint(0, 6)):
-            slot = rng.randrange(2 * dims)
-            key[slot if slot < dims else slot - dims + 4] += 1
+            slot = rng.randrange(2 * pairs)
+            key[slot if slot < pairs else slot - pairs + 4] += 1
         terms[tuple(key)] = ComplexRational(
             Fraction(rng.randint(-20, 20), rng.choice((7, 9, 11, 13))),
             Fraction(rng.randint(-20, 20), rng.choice((7, 9, 11, 13))),
         )
-    return PhasePolynomial(terms, dims)
+    return PhasePolynomial(terms)
 
 
-def _in_pair(poly, mu, dims):
+def _in_pair(poly, mu):
     # a one-pair polynomial moved onto pair mu
     return PhasePolynomial(
         {
             tuple(key[0] if i == mu else key[4] if i == 4 + mu else 0 for i in range(8)): c
             for key, c in poly.terms.items()
-        },
-        dims,
+        }
     )
 
 
-@pytest.mark.parametrize("dims", [1, 2, 3, 4])
+@pytest.mark.parametrize("pairs", [1, 2, 3, 4])
 @pytest.mark.parametrize("metric", METRICS, ids=["mostly_minus", "mostly_plus"])
-def test_star_matches_fraction_closed_form_oracle(metric, dims):
-    rng = random.Random(1000 * dims + metric[0])
-    last = dims - 1
-    q0, q_last, p_last = q_var(0, dims), q_var(last, dims), p_var(last, dims)
-    third = PhasePolynomial.constant(Fraction(1, 3), dims)
-    half = PhasePolynomial.constant(Fraction(1, 2), dims)
-    zero = PhasePolynomial.zero(dims)
-    const = PhasePolynomial.constant(ComplexRational(Fraction(7, 3), Fraction(-2, 9)), dims)
-    pairs = [(_coprime_poly(rng, dims), _coprime_poly(rng, dims)) for _ in range(30)]
-    f0 = _in_pair(random_poly(rng, max_degree=4, n_terms=3, dims=1), 0, dims)
-    g_last = _in_pair(random_poly(rng, max_degree=4, n_terms=3, dims=1), last, dims)
+def test_star_matches_fraction_closed_form_oracle(metric, pairs):
+    # factors drawn from the first `pairs` (q, p) pairs
+    rng = random.Random(1000 * pairs + metric[0])
+    last = pairs - 1
+    q0, q_last, p_last = q_var(0), q_var(last), p_var(last)
+    third = PhasePolynomial.constant(Fraction(1, 3))
+    half = PhasePolynomial.constant(Fraction(1, 2))
+    zero = PhasePolynomial.zero()
+    const = PhasePolynomial.constant(ComplexRational(Fraction(7, 3), Fraction(-2, 9)))
+    cases = [(_coprime_poly(rng, pairs), _coprime_poly(rng, pairs)) for _ in range(30)]
+    f0 = _in_pair(random_poly(rng, max_degree=4, n_terms=3, pairs=1), 0)
+    g_last = _in_pair(random_poly(rng, max_degree=4, n_terms=3, pairs=1), last)
     # partial cancellation with denominators that reduce
-    pairs += [(q_last + third, p_last - third), (q_last + half * p_last, q_last - half * p_last)]
-    for f, g in pairs[:3]:
-        pairs += [(zero, f), (f, zero), (const, g), (g, const)]
+    cases += [(q_last + third, p_last - third), (q_last + half * p_last, q_last - half * p_last)]
+    for f, g in cases[:3]:
+        cases += [(zero, f), (f, zero), (const, g), (g, const)]
     # under one metric and then the other in one process, so that the
     # pair terms cached for one sign are looked up under the other
     for m in (metric, MOSTLY_PLUS if metric == MOSTLY_MINUS else MOSTLY_MINUS):
-        for f, g in pairs:
+        for f, g in cases:
             got = moyal_star(f, g, m)
             want = fraction_closed_form_star(f, g, m)
             assert got == want
@@ -101,9 +104,9 @@ def test_star_matches_fraction_closed_form_oracle(metric, dims):
                 for c in got.terms.values()
             )
         # products that cancel to the zero polynomial (f0 and g_last lie in
-        # disjoint pairs only when dims > 1)
+        # disjoint pairs only when pairs > 1)
         cancelling = [(q0, q_last)]
-        if dims > 1:
+        if pairs > 1:
             cancelling.append((f0, g_last))
         for a, b in cancelling:
             diff = moyal_star(a, b, m) - moyal_star(b, a, m)
@@ -112,10 +115,41 @@ def test_star_matches_fraction_closed_form_oracle(metric, dims):
             assert moyal_star(diff, g_last, m) == fraction_closed_form_star(diff, g_last, m)
 
 
-def test_star_checks_dims_before_zero_factor():
-    for f, g in ((PhasePolynomial.zero(2), q_var(0, 3)), (q_var(0, 3), PhasePolynomial.zero(2))):
-        with pytest.raises(ValueError, match="dimension mismatch"):
+def test_star_refuses_a_product_past_its_term_bound(monkeypatch):
+    # q^e p^e on all four pairs: (1 + 2e)^4 terms, about 5.8e6 at e = 24 and
+    # 1.8e7 at e = 32; the bound is read from each pair's largest exponents
+    assert phaseq.star.MAX_STAR_TERMS == 10**7
+    big = PhasePolynomial.monomial((32,) * 8)
+    with pytest.raises(ValueError, match="can sum 17850625 terms, more than the limit 10000000"):
+        moyal_star(big, big)
+    with pytest.raises(ValueError, match="more than the limit"):
+        commutator_on(big, big, PhasePolynomial.constant(1))
+    # the same degrees that cannot contract do not count: q^32 * q^32 is one term
+    q_only = PhasePolynomial.monomial((32, 32, 32, 32, 0, 0, 0, 0))
+    assert moyal_star(q_only, q_only) == q_only * q_only
+    # a bound exactly at the limit is computed and one past it is refused;
+    # two terms of pair 0 at degree 9 give 2 * 2 * (1 + 9 + 9) = 76 terms. The
+    # degree shortcut that skips reading the exponents must never hide a
+    # refusal, so each limit is set at a pair's own bound
+    cases = [(parse_expression("q0^9*p0^9 + q0^8*p0^9"),) * 2]
+    cases.append((parse_expression("q0^9 + q1^9 + q2^9 + q3^9"),
+                  parse_expression("p0^9 + p1^9 + p2^9 + p3^9")))
+    rng = random.Random(31)
+    cases += [(random_poly(rng, 6, 4), random_poly(rng, 6, 4)) for _ in range(20)]
+    bounds = []
+    for f, g in cases:
+        top_f = [max(e) for e in zip(*f.terms)]
+        top_g = [max(e) for e in zip(*g.terms)]
+        bound = len(f.terms) * len(g.terms)
+        for mu in range(4):
+            bound *= 1 + min(top_f[mu], top_g[4 + mu]) + min(top_f[4 + mu], top_g[mu])
+        bounds.append(bound)
+        monkeypatch.setattr(phaseq.star, "MAX_STAR_TERMS", bound)
+        assert moyal_star(f, g) == fraction_closed_form_star(f, g)
+        monkeypatch.setattr(phaseq.star, "MAX_STAR_TERMS", bound - 1)
+        with pytest.raises(ValueError, match=f"can sum {bound} terms, more than the limit {bound - 1}"):
             moyal_star(f, g)
+    assert bounds[:2] == [76, 16 * 10**4]
 
 
 def test_pair_term_cache_is_bounded():
