@@ -75,7 +75,9 @@ class ComplexRational:
 
     def __add__(self, other):
         if other.__class__ is not ComplexRational:
-            other = ComplexRational.of(other)
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b, d = self._abd
         c, e, f = other._abd
         if d == f:
@@ -89,14 +91,18 @@ class ComplexRational:
         return _triple(-a, -b, d)
 
     def __sub__(self, other):
-        return self + (-ComplexRational.of(other))
+        other = _operand(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return ComplexRational.of(other) + (-self)
+        other = _operand(other)
+        return NotImplemented if other is NotImplemented else other + (-self)
 
     def __mul__(self, other):
         if other.__class__ is not ComplexRational:
-            other = ComplexRational.of(other)
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b, d = self._abd
         c, e, f = other._abd
         return _from_integers(a * c - b * e, a * e + b * c, d * f)
@@ -146,6 +152,18 @@ class ComplexRational:
 
     def __reduce__(self):
         return ComplexRational, (self.re, self.im)
+
+
+def _operand(value):
+    """value as a ComplexRational, or NotImplemented when of() refuses it.
+
+    The arithmetic methods return that NotImplemented, so Python tries the
+    other operand's reflected method: CR_I * q_var(0) scales the polynomial.
+    """
+    try:
+        return ComplexRational.of(value)
+    except TypeError:
+        return NotImplemented
 
 
 _set_abd = ComplexRational._abd.__set__

@@ -1,15 +1,18 @@
 """Sampled phase-space fields on uniform grids.
 
-Provides Fourier and finite-difference derivatives, L2 inner products,
-a numerical star product that is exact for band-limited fields (the
-twisted convolution in the mixed q-Fourier/p representation: per q-mode
-of one factor, one transform of each factor along each p axis, with f's
-transform along an outer p axis shared by the inner q-modes, summed in
-q-Fourier space with a q-mode shift, then one inverse q transform, at
-O(N_q N log N) for N grid points and N_q modes on the q axes),
-the Wigner function of a scalar amplitude (one grid star; a spinor's is
-a sum of these), and a two-route grid check of the phase-space
-Klein-Gordon operator.
+Provides Fourier and eighth-order finite-difference derivatives, each
+applied along one axis as a Fourier multiplier in one FFT pair per call
+(ik for the spectral one; for the finite difference, the stencil's exact
+symbol, since on a periodic axis the stencil is a circulant matrix), L2
+inner products, a numerical star product that is exact for band-limited
+fields (the twisted convolution in the mixed q-Fourier/p representation:
+per q-mode of one factor, one transform of each factor along each p axis,
+with f's transform along an outer p axis shared by the inner q-modes,
+summed in q-Fourier space with a q-mode shift, then one inverse q
+transform, at O(N_q N log N) for N grid points and N_q modes on the q
+axes), the Wigner function of a scalar amplitude (one grid star; a
+spinor's is a sum of these), and a two-route grid check of the
+phase-space Klein-Gordon operator.
 """
 
 from __future__ import annotations
@@ -232,16 +235,29 @@ def inner_product(f: Field, g: Field) -> complex:
     return complex(np.sum(np.conj(f.values) * g.values * volume))
 
 
-def fourier_derivative(f: Field, axis: int) -> Field:
-    """Spectral first derivative along one axis; exact for band-limited fields."""
+def _apply_multiplier(f: Field, axis: int, mult: np.ndarray) -> Field:
+    """Multiply f's spectrum along one axis by ``mult`` (one value per mode).
+
+    One forward and one inverse FFT along the axis; the multiply and the
+    inverse transform work in the spectrum's own buffer, so a call holds
+    about one field-sized array beyond its input.
+    """
+    shape = [1] * f.values.ndim
+    shape[axis] = mult.size
+    spectrum = np.fft.fft(f.values, axis=axis)
+    spectrum *= mult.reshape(shape)
+    return Field(f.spec, np.fft.ifft(spectrum, axis=axis, out=spectrum))
+
+
+def _axis(f: Field, axis: int) -> Axis:
     if not 0 <= axis < len(f.spec.axes):
         raise ValueError("axis out of range")
-    k = f.spec.axes[axis].wavenumbers()
-    shape = [1] * len(f.spec.axes)
-    shape[axis] = len(k)
-    mult = 1j * k.reshape(shape)
-    spectrum = np.fft.fft(f.values, axis=axis)
-    return Field(f.spec, np.fft.ifft(spectrum * mult, axis=axis))
+    return f.spec.axes[axis]
+
+
+def fourier_derivative(f: Field, axis: int) -> Field:
+    """Spectral first derivative along one axis; exact for band-limited fields."""
+    return _apply_multiplier(f, axis, 1j * _axis(f, axis).wavenumbers())
 
 
 # 8th-order central difference coefficients for first and second derivatives
@@ -259,17 +275,20 @@ _FD2_W = (
 
 
 def fd_derivative(f: Field, axis: int, order: int = 1) -> Field:
-    """Eighth-order central finite difference with periodic wraparound."""
-    if not 0 <= axis < len(f.spec.axes):
-        raise ValueError("axis out of range")
+    """Eighth-order central finite difference with periodic wraparound.
+
+    On a periodic axis of n points the stencil sum_j w_j f(x + j h) / h^order
+    is a circulant matrix, so it is applied as its exact Fourier multiplier,
+    sum_j w_j e^{i j theta} / h^order at theta = 2 pi m / n for mode m, in
+    one FFT pair along the axis.
+    """
+    ax = _axis(f, axis)
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    h = f.spec.axes[axis].spacing
+    theta = 2.0 * np.pi * np.fft.fftfreq(ax.n)
     weights = _FD1_W if order == 1 else _FD2_W
-    out = np.zeros_like(f.values)
-    for offset, w in weights:
-        out += w * np.roll(f.values, -offset, axis=axis)
-    return Field(f.spec, out / h**order)
+    symbol = sum(w * np.exp(1j * offset * theta) for offset, w in weights)
+    return _apply_multiplier(f, axis, symbol / ax.spacing**order)
 
 
 def grid_star(f: Field, g: Field) -> Field:
@@ -373,7 +392,8 @@ def kg_two_route_check(
     momentum parameters (upper components) and ``metric_signs`` the
     diagonal metric entries for those directions. Route A expands the
     operator into p.p - i p^mu d_mu - (1/4) d^2 and evaluates every
-    derivative with 8th-order finite differences; route B iterates the
+    derivative with 8th-order finite differences (the stencil applied as
+    its exact Fourier multiplier, one FFT pair per call); route B iterates the
     first-order multiply-and-differentiate form with spectral
     derivatives. The two routes are algebraically identical, so their
     discrepancy measures pure discretization error. A field that is zero

@@ -248,7 +248,9 @@ def full_operator_apply(phi: Field, params: LandauParams) -> Field:
     The operator is the spatial block of the squared interacting Dirac
     operator, with the spin matrix already replaced by its scalar
     eigenvalue (the -s eB term). Derivatives are 8th-order finite
-    differences, which keep boundary wraparound artifacts local.
+    differences, which keep boundary wraparound artifacts local: ten
+    fd_derivative calls, each applying the periodic stencil as its exact
+    Fourier multiplier in one FFT pair along its axis.
     """
     if len(phi.spec.axes) != 4:
         raise ValueError("expected a 4D field over (x, y, px, py)")

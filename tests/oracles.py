@@ -53,6 +53,9 @@ over one denominator) replaces, and per_row_table runs one of them over a
 table as specfun-eval did. digamma_kummer_u is that U series with scipy's
 digamma for both psi values, which the package's own psi (a shifted
 asymptotic series, and exact harmonic numbers at the integers) replaces.
+roll_fd_derivative sums the eighth-order stencil's shifted copies of the
+field with np.roll, the route that fd_derivative's one FFT pair with the
+stencil's exact Fourier multiplier replaces.
 """
 
 import csv
@@ -94,6 +97,7 @@ from phaseq.confluent import (
     _psi,
     _psi_of_integers,
 )
+from phaseq.grids import _FD1_W, _FD2_W
 from phaseq.parsing import _ALIASES, MAX_EXPONENT, MAX_NESTING, ParseError
 
 
@@ -328,6 +332,20 @@ def two_pass_grid_star(f: Field, g: Field) -> Field:
         # exp(i kappa_c (q - lo)) moves q-mode a to a + c on the grid
         acc += np.roll(fs * gs, c, axis=q_axes)
     return Field(spec, np.fft.ifftn(acc, axes=q_axes) / np.prod(q_shape))
+
+
+def roll_fd_derivative(f: Field, axis: int, order: int = 1) -> Field:
+    """Eighth-order central difference as a sum of periodically shifted copies.
+
+    Each stencil weight w_j scales f(x + j h), taken with np.roll, and the
+    sum is divided by h^order.
+    """
+    h = f.spec.axes[axis].spacing
+    weights = _FD1_W if order == 1 else _FD2_W
+    out = np.zeros_like(f.values)
+    for offset, w in weights:
+        out += w * np.roll(f.values, -offset, axis=axis)
+    return Field(f.spec, out / h**order)
 
 
 def spinor_wigner_sum(psi):

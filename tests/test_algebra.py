@@ -175,6 +175,28 @@ def test_complex_rational_value_semantics():
         ComplexRational(0.5)
 
 
+def test_complex_rational_defers_to_polynomial_operands():
+    # an operand ComplexRational cannot coerce gets NotImplemented, so the
+    # polynomial's reflected method runs, from either side
+    poly = q_var(0) * p_var(1) + Fraction(1, 3)
+    assert CR_I * poly == poly * CR_I == poly.scale(CR_I)
+    assert CR_I + poly == poly + CR_I
+    assert CR_I - poly == -(poly - CR_I)
+    assert poly - CR_I == poly + (-CR_I)
+    for method in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        assert getattr(CR_I, method)(poly) is NotImplemented
+        assert getattr(CR_I, method)("i") is NotImplemented
+    # with no reflected method on the other side, Python raises TypeError
+    for apply in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            apply(CR_I, None)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            apply(None, CR_I)
+    # the numbers of() converts still combine as before
+    assert CR_I - 1 == ComplexRational(-1, 1) and 1 - CR_I == ComplexRational(1, -1)
+    assert CR_I * 0.5 == ComplexRational(0, Fraction(1, 2))
+
+
 def test_metric_signature_validation():
     assert MOSTLY_MINUS[0] == 1 and MOSTLY_MINUS[3] == -1
     assert MOSTLY_PLUS.label() == "-+++"

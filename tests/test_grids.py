@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from oracles import (
     gaussian_qp_star,
     mode_shift_star,
     quadrature_star,
+    roll_fd_derivative,
     row_by_row_field_csv,
     spinor_wigner_sum,
     three_pass_grid_star,
@@ -115,6 +117,71 @@ def test_fd_derivative_matches_spectral():
             if order == 2:
                 b = fourier_derivative(b, axis)
             assert np.max(np.abs(a - b.values)) < 1e-6
+
+
+def random_field(shape, seed):
+    axes = [Axis(f"x{i}", n, -1.5 - i, 2.0 + 0.5 * i) for i, n in enumerate(shape)]
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return Field(GridSpec(axes, pairs=[]), values)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (9, 12), (9, 9, 9, 9), (16, 16, 16, 16)])
+def test_fd_derivative_matches_roll_stencil(shape):
+    # the Fourier multiplier is the circulant stencil itself, so the two
+    # routes differ only by rounding, on every axis, odd n included
+    f = random_field(shape, seed=sum(shape))
+    for axis in range(len(shape)):
+        for order in (1, 2):
+            ref = roll_fd_derivative(f, axis, order).values
+            got = fd_derivative(f, axis, order).values
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_derivatives_refuse_a_bad_axis_or_order():
+    f = random_field((9, 12), seed=3)
+    for axis in (-1, 2):
+        for derivative in (fd_derivative, fourier_derivative):
+            with pytest.raises(ValueError, match="axis out of range"):
+                derivative(f, axis)
+    for order in (0, 3):
+        with pytest.raises(ValueError, match="order must be 1 or 2"):
+            fd_derivative(f, 0, order)
+
+
+def test_fd_derivative_is_one_fft_pair(monkeypatch):
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        original = getattr(np.fft, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    f = random_field((9, 12), seed=1)
+    for axis in (0, 1):
+        for order in (1, 2):
+            calls.clear()
+            fd_derivative(f, axis, order)
+            assert sorted(calls) == ["fft", "ifft"]
+
+
+def test_fd_derivative_works_in_place():
+    # a call holds its spectrum and little else; the roll route holds its
+    # sum, a shifted copy and a scaled one, over twice the field
+    f = random_field((16, 16, 16, 16), seed=2)
+
+    def peak(derivative):
+        tracemalloc.start()
+        try:
+            derivative(f, 2, 2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(fd_derivative) < 1.5 * f.values.nbytes
+    assert peak(roll_fd_derivative) > 2 * f.values.nbytes
 
 
 def test_grid_star_against_closed_form_oracle():
